@@ -174,13 +174,26 @@ def _parse_policy(section: dict) -> SelectionPolicy:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario config JSON; unknown keys are errors."""
+    """Parse and validate a scenario config JSON; unknown keys are errors.
+
+    Every malformed value, down to the dataclass validators, raises
+    ConfigError.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as e:
         raise ConfigError(f"config not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    try:
+        return _parse_scenario(raw, path)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _parse_scenario(raw, path: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _check_keys(raw, ("layout", "channel", "scenario", "estimator"), "config")

@@ -5,7 +5,9 @@ to [-1, 1] on the training split only. Training is full-batch gradient
 descent (classical momentum) with early stopping on the validation set:
 the returned weights are the snapshot from the best validation epoch. The
 sweep trains one network per (hidden size, seed) pair and ranks the
-results the way the experiment logs report them.
+results the way the experiment logs report them. All seeds of one hidden
+size train together as one stack of networks, each on its own split; the
+results are bit-identical to training each network alone.
 """
 
 from __future__ import annotations
@@ -183,21 +185,63 @@ def init_mlp(n_inputs: int, n_hidden: int, seed: int) -> MlpModel:
     )
 
 
-def _normalize_inputs(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return 2.0 * (x - model.in_min) / (model.in_max - model.in_min) - 1.0
+def _normalize(v, lo, hi):
+    return 2.0 * (v - lo) / (hi - lo) - 1.0
 
 
 def _denormalize_output(model: MlpModel, yn):
     return (yn + 1.0) / 2.0 * (model.out_max - model.out_min) + model.out_min
 
 
-def _normalize_targets(model: MlpModel, y: np.ndarray) -> np.ndarray:
-    return 2.0 * (y - model.out_min) / (model.out_max - model.out_min) - 1.0
+def _stack_params(models: Sequence[MlpModel]) -> List[np.ndarray]:
+    """[w1, b1, w2, b2] of same-shaped models, stacked along a new axis 0."""
+    return [
+        np.array([m.w1 for m in models]),
+        np.array([m.b1 for m in models]),
+        np.array([m.w2 for m in models]),
+        np.array([m.b2 for m in models], dtype=float),
+    ]
 
 
-def _forward_normalized(model: MlpModel, xn: np.ndarray) -> np.ndarray:
-    hidden = np.tanh(xn @ model.w1.T + model.b1)
-    return hidden @ model.w2 + model.b2
+def _stack_forward(params: List[np.ndarray], xn: np.ndarray):
+    """Hidden activations (S, n, h) and outputs (S, n) of S networks.
+
+    Slice s of `xn` (S, n, n_inputs) goes through network s with the same
+    BLAS calls a single network makes, so stacking does not change a
+    single bit of the results.
+    """
+    w1, b1, w2, b2 = params
+    h1 = np.tanh(xn @ w1.transpose(0, 2, 1) + b1[:, None, :])
+    return h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
+
+
+def _mse(pred: np.ndarray, yn: np.ndarray) -> np.ndarray:
+    """Each row's mean squared error, summed and divided as np.mean does."""
+    return ((pred - yn) ** 2).sum(axis=1) / yn.shape[1]
+
+
+def _stack_gradients(
+    w2: np.ndarray, xn: np.ndarray, yn: np.ndarray, h1: np.ndarray, pred: np.ndarray
+) -> List[np.ndarray]:
+    """Backpropagated [w1, b1, w2, b2] gradients of each network's batch MSE.
+
+    Takes the forward pass (h1, pred) as arguments, so a training epoch
+    reuses the pass that measured the previous epoch's training loss.
+    """
+    d_pred = 2.0 * (pred - yn) / xn.shape[1]  # (S, n)
+    d_a1 = d_pred[:, :, None] * w2[:, None, :] * (1.0 - h1**2)
+    return [
+        d_a1.transpose(0, 2, 1) @ xn,
+        d_a1.sum(axis=1),
+        (h1.transpose(0, 2, 1) @ d_pred[:, :, None])[:, :, 0],
+        d_pred.sum(axis=1),
+    ]
+
+
+def _predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    xn = _normalize(x, model.in_min, model.in_max)
+    pred = _stack_forward(_stack_params([model]), xn[None])[1][0]
+    return _denormalize_output(model, pred)
 
 
 def forward(model: MlpModel, inputs: Sequence[float]) -> float:
@@ -207,9 +251,7 @@ def forward(model: MlpModel, inputs: Sequence[float]) -> float:
         raise DimensionMismatch(
             f"expected {model.n_inputs} inputs, got shape {x.shape}"
         )
-    xn = _normalize_inputs(model, x[None, :])
-    yn = _forward_normalized(model, xn)[0]
-    return float(_denormalize_output(model, yn))
+    return float(_predict(model, x[None, :])[0])
 
 
 def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -219,16 +261,15 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected (n, {model.n_inputs}) inputs, got shape {x.shape}"
         )
-    xn = _normalize_inputs(model, x)
-    return _denormalize_output(model, _forward_normalized(model, xn))
+    return _predict(model, x)
 
 
 def batch_loss(model: MlpModel, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean squared error in the normalized output space."""
-    xn = _normalize_inputs(model, np.asarray(inputs, dtype=float))
-    yn = _normalize_targets(model, np.asarray(targets, dtype=float))
-    pred = _forward_normalized(model, xn)
-    return float(np.mean((pred - yn) ** 2))
+    xn = _normalize(np.asarray(inputs, dtype=float), model.in_min, model.in_max)
+    yn = _normalize(np.asarray(targets, dtype=float), model.out_min, model.out_max)
+    pred = _stack_forward(_stack_params([model]), xn[None])[1]
+    return float(_mse(pred, yn[None])[0])
 
 
 def gradients(
@@ -244,41 +285,99 @@ def gradients(
             f"batch shape {x.shape} vs targets {y.shape} does not match "
             f"a {model.n_inputs}-input model"
         )
-    n = len(x)
-    xn = _normalize_inputs(model, x)
-    yn = _normalize_targets(model, y)
-
-    a1 = xn @ model.w1.T + model.b1
-    h1 = np.tanh(a1)
-    pred = h1 @ model.w2 + model.b2
-
-    d_pred = 2.0 * (pred - yn) / n  # (n,)
-    g_w2 = h1.T @ d_pred
-    g_b2 = float(np.sum(d_pred))
-    d_h1 = np.outer(d_pred, model.w2)
-    d_a1 = d_h1 * (1.0 - h1**2)
-    g_w1 = d_a1.T @ xn
-    g_b1 = d_a1.sum(axis=0)
-    return Gradients(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    xn = _normalize(x, model.in_min, model.in_max)[None]
+    yn = _normalize(y, model.out_min, model.out_max)[None]
+    params = _stack_params([model])
+    h1, pred = _stack_forward(params, xn)
+    g_w1, g_b1, g_w2, g_b2 = _stack_gradients(params[2], xn, yn, h1, pred)
+    return Gradients(w1=g_w1[0], b1=g_b1[0], w2=g_w2[0], b2=float(g_b2[0]))
 
 
-def _fit_normalization(
-    model: MlpModel, inputs: np.ndarray, targets: np.ndarray
-) -> MlpModel:
-    in_min = inputs.min(axis=0)
-    in_max = inputs.max(axis=0)
+def _train_stack(
+    models: Sequence[MlpModel],
+    dataset: NnDataset,
+    splits: Sequence[SplitIndices],
+    config: TrainConfig,
+) -> Tuple[List[MlpModel], List[List[Tuple[float, float]]]]:
+    """Train S same-shaped networks at once, network s on splits[s].
+
+    Every network keeps its own min-max normalization (fitted on its
+    training split), momentum, best-validation snapshot and patience
+    counter; a network whose patience runs out leaves the stack. Returns
+    the best snapshots and, per network, its per-epoch normalized
+    (train MSE, validation MSE).
+    """
+    n_nets = len(models)
+    rows_tr = np.array([s.train for s in splits], dtype=int)
+    rows_va = np.array([s.validation for s in splits], dtype=int)
+    x_tr, y_tr = dataset.inputs[rows_tr], dataset.targets[rows_tr]
+    in_min, in_max = x_tr.min(axis=1), x_tr.max(axis=1)
+    out_min, out_max = y_tr.min(axis=1), y_tr.max(axis=1)
     if np.any(in_max - in_min <= 0):
         raise ValueError("degenerate input range in the training split")
-    out_min = float(targets.min())
-    out_max = float(targets.max())
-    if out_max - out_min <= 0:
+    if np.any(out_max - out_min <= 0):
         raise ValueError("degenerate target range in the training split")
-    m = model.copy()
-    m.in_min = in_min.astype(float)
-    m.in_max = in_max.astype(float)
-    m.out_min = out_min
-    m.out_max = out_max
-    return m
+    # normalized once per call, each network with its own ranges
+    x_lo, x_hi = in_min[:, None, :], in_max[:, None, :]
+    y_lo, y_hi = out_min[:, None], out_max[:, None]
+    xn_tr = _normalize(x_tr, x_lo, x_hi)
+    yn_tr = _normalize(y_tr, y_lo, y_hi)
+    xn_va = _normalize(dataset.inputs[rows_va], x_lo, x_hi)
+    yn_va = _normalize(dataset.targets[rows_va], y_lo, y_hi)
+    has_val = rows_va.shape[1] > 0
+
+    params = _stack_params(models)
+    best = [p.copy() for p in params]
+    best_val = np.full(n_nets, math.inf)
+    if has_val:
+        best_val = _mse(_stack_forward(params, xn_va)[1], yn_va)
+    velocity = [np.zeros_like(p) for p in params]
+    epochs_since_best = np.zeros(n_nets, dtype=int)
+    live = np.arange(n_nets)  # stack slot -> network
+    history: List[List[Tuple[float, float]]] = [[] for _ in models]
+
+    h1, pred = _stack_forward(params, xn_tr)
+    for _ in range(config.max_epochs):
+        grads = _stack_gradients(params[2], xn_tr, yn_tr, h1, pred)
+        for i, g in enumerate(grads):
+            velocity[i] = config.momentum * velocity[i] - config.learning_rate * g
+            params[i] = params[i] + velocity[i]
+
+        h1, pred = _stack_forward(params, xn_tr)
+        train_mse = _mse(pred, yn_tr)
+        val_mse = (
+            _mse(_stack_forward(params, xn_va)[1], yn_va) if has_val else train_mse
+        )
+        for s, t, v in zip(live.tolist(), train_mse.tolist(), val_mse.tolist()):
+            history[s].append((t, v))
+        improved = val_mse < best_val
+        if improved.any():
+            best_val[improved] = val_mse[improved]
+            for b, p in zip(best, params):
+                b[live[improved]] = p[improved]
+        epochs_since_best = np.where(improved, 0, epochs_since_best + 1)
+        keep = epochs_since_best < config.patience
+        if not keep.all():
+            # compact only when a network stops: indexing every epoch costs more
+            live = live[keep]
+            if not live.size:
+                break
+            params = [p[keep] for p in params]
+            velocity = [v[keep] for v in velocity]
+            best_val, epochs_since_best = best_val[keep], epochs_since_best[keep]
+            xn_tr, yn_tr, xn_va, yn_va, h1, pred = (
+                a[keep] for a in (xn_tr, yn_tr, xn_va, yn_va, h1, pred)
+            )
+
+    trained = [
+        replace(
+            m, w1=best[0][s], b1=best[1][s], w2=best[2][s], b2=float(best[3][s]),
+            in_min=in_min[s], in_max=in_max[s],
+            out_min=float(out_min[s]), out_max=float(out_max[s]),
+        )
+        for s, m in enumerate(models)
+    ]
+    return trained, history
 
 
 def train(
@@ -295,74 +394,17 @@ def train(
     """
     if len(splits.train) == 0:
         raise TooFewSamples("training split is empty")
-    x_train = dataset.inputs[list(splits.train)]
-    y_train = dataset.targets[list(splits.train)]
-    x_val = dataset.inputs[list(splits.validation)]
-    y_val = dataset.targets[list(splits.validation)]
-
-    current = _fit_normalization(model, x_train, y_train)
-    to_m2 = ((current.out_max - current.out_min) / 2.0) ** 2
-
-    best = current.copy()
-    best_val = batch_loss(current, x_val, y_val) if len(x_val) else math.inf
-    epochs_since_best = 0
-    history: List[EpochRecord] = []
-    v_w1 = np.zeros_like(current.w1)
-    v_b1 = np.zeros_like(current.b1)
-    v_w2 = np.zeros_like(current.w2)
-    v_b2 = 0.0
-
-    for epoch in range(1, config.max_epochs + 1):
-        grads = gradients(current, x_train, y_train)
-        v_w1 = config.momentum * v_w1 - config.learning_rate * grads.w1
-        v_b1 = config.momentum * v_b1 - config.learning_rate * grads.b1
-        v_w2 = config.momentum * v_w2 - config.learning_rate * grads.w2
-        v_b2 = config.momentum * v_b2 - config.learning_rate * grads.b2
-        current.w1 = current.w1 + v_w1
-        current.b1 = current.b1 + v_b1
-        current.w2 = current.w2 + v_w2
-        current.b2 = current.b2 + v_b2
-
-        train_mse = batch_loss(current, x_train, y_train)
-        val_mse = (
-            batch_loss(current, x_val, y_val) if len(x_val) else train_mse
-        )
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_mse_m2=train_mse * to_m2,
-                val_mse_m2=val_mse * to_m2,
-            )
-        )
-        if val_mse < best_val:
-            best_val = val_mse
-            best = current.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
-    return best, history
+    [best], [history] = _train_stack([model], dataset, [splits], config)
+    to_m2 = ((best.out_max - best.out_min) / 2.0) ** 2
+    return best, [
+        EpochRecord(epoch=e, train_mse_m2=t * to_m2, val_mse_m2=v * to_m2)
+        for e, (t, v) in enumerate(history, start=1)
+    ]
 
 
 def dataset_from_survey(survey: SurveyDataset) -> NnDataset:
     """Pivot a survey grid into (RSS vector, position) training rows."""
-    rsu_ids = survey.rsu_ids()
-    by_cell: Dict[float, Dict[str, float]] = {}
-    for s in survey.samples:
-        by_cell.setdefault(s.x_m, {})[s.rsu_id] = s.rss_dbm
-    xs = sorted(by_cell.keys())
-    rows = []
-    for x in xs:
-        cell = by_cell[x]
-        if set(cell.keys()) != set(rsu_ids):
-            raise ValueError(f"incomplete survey grid at x={x}")
-        rows.append([cell[r] for r in rsu_ids])
-    return NnDataset(
-        inputs=np.asarray(rows, dtype=float),
-        targets=np.asarray(xs, dtype=float),
-        feature_names=tuple(rsu_ids),
-    )
+    return dataset_from_columns(survey.samples, survey.rsu_ids())
 
 
 def dataset_from_columns(
@@ -389,25 +431,6 @@ def dataset_from_columns(
     )
 
 
-def _evaluate_row(
-    hidden: int,
-    seed: int,
-    dataset: NnDataset,
-    config: TrainConfig,
-) -> Tuple[MetricsReport, MetricsReport]:
-    splits = split_dataset(dataset.n, seed)
-    model = init_mlp(dataset.inputs.shape[1], hidden, seed)
-    trained, _ = train(model, dataset, splits, replace(config, seed=seed))
-
-    pred_all = forward_batch(trained, dataset.inputs)
-    test_idx = list(splits.test)
-    report_test = regression_metrics(
-        dataset.targets[test_idx], pred_all[test_idx]
-    )
-    report_all = regression_metrics(dataset.targets, pred_all)
-    return report_test, report_all
-
-
 def sweep(dataset: NnDataset, config: SweepConfig) -> SweepTable:
     """Train the full (hidden size x seed) grid and rank the results.
 
@@ -416,11 +439,18 @@ def sweep(dataset: NnDataset, config: SweepConfig) -> SweepTable:
     regardless of execution order.
     """
     results = []
-    for hidden in config.hidden_sizes:
-        for seed in config.seeds:
-            report_test, report_all = _evaluate_row(
-                hidden, seed, dataset, config.train
+    n_inputs = dataset.inputs.shape[1]
+    for hidden in config.hidden_sizes if config.seeds else ():
+        splits = [split_dataset(dataset.n, seed) for seed in config.seeds]
+        models = [init_mlp(n_inputs, hidden, seed) for seed in config.seeds]
+        trained, _ = _train_stack(models, dataset, splits, config.train)
+        for seed, split, model in zip(config.seeds, splits, trained):
+            pred_all = forward_batch(model, dataset.inputs)
+            test_idx = list(split.test)
+            report_test = regression_metrics(
+                dataset.targets[test_idx], pred_all[test_idx]
             )
+            report_all = regression_metrics(dataset.targets, pred_all)
             results.append((hidden, seed, report_test, report_all))
     results.sort(
         key=lambda r: (r[3].mse, r[3].max_abs_error, r[0], r[1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -77,6 +78,33 @@ class TestSurveyCommand:
         )
         assert code == 2
         assert "typo_key" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (("layout",), "step_m", 0),
+            (("channel",), "far_sigma_db", -0.5),
+            (("layout", "rsus", 0), "x_m", "east"),
+            (("scenario", "policy"), "min_rsu_count", 1),
+        ],
+        ids=["zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy"],
+    )
+    def test_malformed_value_exit_2_one_line(
+        self, section, key, value, tmp_path, capsys
+    ):
+        cfg = json.loads((CONFIGS / "drive.json").read_text())
+        target = cfg
+        for part in section:
+            target = target[part]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code, _, err = run(
+            ["survey", "--config", bad, "--out", tmp_path / "x.csv"], capsys
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -163,6 +191,16 @@ class TestSweepCommand:
         run(["sweep", exp2_csv, "--hidden", "2..3", "--seeds", 2, "--out", a], capsys)
         run(["sweep", exp2_csv, "--hidden", "2..3", "--seeds", 2, "--out", b], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_exp2_sweep_bytes_pinned(self, exp2_csv, tmp_path, capsys):
+        # the paper's 180-network sweep at the config's seed, byte for byte
+        # (the same digest the benchmark checks)
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(["sweep", exp2_csv, "--out", out], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "efa0a17632f655556ec238b44681ec547534801e510a9f3c8c090d6556fa3124"
+        )
 
     def test_bad_hidden_range_exit_2(self, exp2_csv, tmp_path, capsys):
         code, _, _ = run(

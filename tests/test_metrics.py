@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,8 +32,27 @@ def naive_metrics(actual, predicted):
     cov = sum((a - mean_a) * (p - mean_p) for a, p in zip(actual, predicted))
     var_a = sum((a - mean_a) ** 2 for a in actual)
     var_p = sum((p - mean_p) ** 2 for p in predicted)
-    corr = cov / math.sqrt(var_a * var_p)
+    product = var_a * var_p
+    # None where the product underflows (to 0 or to a subnormal)
+    corr = cov / math.sqrt(product) if product >= sys.float_info.min else None
     return mse, max_abs, variance, corr
+
+
+def check_against_naive(actual, predicted):
+    """regression_metrics agrees with the plain-Python oracle on one draw."""
+    if np.std(actual) == 0.0 or np.std(predicted) == 0.0:
+        with pytest.raises(ZeroVariance):
+            regression_metrics(actual, predicted)
+        return
+    report = regression_metrics(actual, predicted)
+    mse, max_abs, variance, corr = naive_metrics(actual, predicted)
+    assert report.mse == pytest.approx(mse, rel=1e-12, abs=1e-12)
+    assert report.max_abs_error == pytest.approx(max_abs, rel=1e-12, abs=1e-12)
+    assert report.variance == pytest.approx(variance, rel=1e-12, abs=1e-12)
+    # spreads tiny enough to underflow the oracle's variance product leave
+    # its correlation undefined: out of scope (meters-scale data in practice)
+    if corr is not None:
+        assert report.correlation == pytest.approx(corr, rel=1e-9)
 
 
 def naive_goodness(actual, predicted, k):
@@ -104,16 +124,15 @@ class TestRegressionMetrics:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_recomputation(self, actual, rnd):
         predicted = [a + rnd.uniform(-5.0, 5.0) for a in actual]
-        # spreads tiny enough to underflow the oracle's variance product are
-        # out of scope (meters-scale data in practice)
-        if np.std(actual) < 1e-100 or np.std(predicted) < 1e-100:
-            return
-        report = regression_metrics(actual, predicted)
-        mse, max_abs, variance, corr = naive_metrics(actual, predicted)
-        assert report.mse == pytest.approx(mse, rel=1e-12, abs=1e-12)
-        assert report.max_abs_error == pytest.approx(max_abs, rel=1e-12, abs=1e-12)
-        assert report.variance == pytest.approx(variance, rel=1e-12, abs=1e-12)
-        assert report.correlation == pytest.approx(corr, rel=1e-9)
+        check_against_naive(actual, predicted)
+
+    def test_underflowing_oracle_variance_product(self):
+        # a draw of the test above: np.std is about 1.2e-99, but the
+        # oracle's var_a * var_p underflows to 0
+        actual = [0.0, 0.0, 2.6e-99]
+        assert naive_metrics(actual, actual)[3] is None
+        check_against_naive(actual, actual)
+        assert regression_metrics(actual, actual).correlation == pytest.approx(1.0)
 
     def test_permutation_invariant_over_pairs(self):
         rng = np.random.default_rng(9)

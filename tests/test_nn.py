@@ -3,8 +3,11 @@ import pytest
 
 from vanetpos.channel import ChannelModel, SurveyLayout, generate_survey, standard_rsu_row
 from vanetpos.errors import DimensionMismatch, EmptyBatch, TooFewSamples
+from vanetpos.metrics import regression_metrics
 from vanetpos.nn import (
+    EpochRecord,
     NnDataset,
+    SplitIndices,
     SweepConfig,
     TrainConfig,
     batch_loss,
@@ -24,6 +27,75 @@ def linear_task(n=41, span_m=20.0):
     rss = np.linspace(-90.0, -50.0, n)
     pos = span_m / 40.0 * (rss + 90.0)
     return NnDataset(inputs=rss[:, None], targets=pos, feature_names=("ap",))
+
+
+def reference_train(model, dataset, splits, config):
+    """One network at a time, on 2-D arrays: the trainer the stacked one replaced.
+
+    Returns (best-validation snapshot, history) like `train`; the stacked
+    trainer must reproduce both bit for bit.
+    """
+
+    def norm_in(m, x):
+        return 2.0 * (x - m.in_min) / (m.in_max - m.in_min) - 1.0
+
+    def norm_out(m, y):
+        return 2.0 * (y - m.out_min) / (m.out_max - m.out_min) - 1.0
+
+    def loss(m, x, y):
+        pred = np.tanh(norm_in(m, x) @ m.w1.T + m.b1) @ m.w2 + m.b2
+        return float(np.mean((pred - norm_out(m, y)) ** 2))
+
+    def grads(m, x, y):
+        xn, yn = norm_in(m, x), norm_out(m, y)
+        h1 = np.tanh(xn @ m.w1.T + m.b1)
+        d_pred = 2.0 * (h1 @ m.w2 + m.b2 - yn) / len(x)
+        d_a1 = np.outer(d_pred, m.w2) * (1.0 - h1**2)
+        return d_a1.T @ xn, d_a1.sum(axis=0), h1.T @ d_pred, float(np.sum(d_pred))
+
+    x_train = dataset.inputs[list(splits.train)]
+    y_train = dataset.targets[list(splits.train)]
+    x_val = dataset.inputs[list(splits.validation)]
+    y_val = dataset.targets[list(splits.validation)]
+    current = model.copy()
+    current.in_min, current.in_max = x_train.min(axis=0), x_train.max(axis=0)
+    current.out_min, current.out_max = float(y_train.min()), float(y_train.max())
+    to_m2 = ((current.out_max - current.out_min) / 2.0) ** 2
+
+    best = current.copy()
+    best_val = loss(current, x_val, y_val) if len(x_val) else np.inf
+    epochs_since_best = 0
+    history = []
+    v_w1, v_b1 = np.zeros_like(current.w1), np.zeros_like(current.b1)
+    v_w2, v_b2 = np.zeros_like(current.w2), 0.0
+    for epoch in range(1, config.max_epochs + 1):
+        g_w1, g_b1, g_w2, g_b2 = grads(current, x_train, y_train)
+        v_w1 = config.momentum * v_w1 - config.learning_rate * g_w1
+        v_b1 = config.momentum * v_b1 - config.learning_rate * g_b1
+        v_w2 = config.momentum * v_w2 - config.learning_rate * g_w2
+        v_b2 = config.momentum * v_b2 - config.learning_rate * g_b2
+        current.w1 = current.w1 + v_w1
+        current.b1 = current.b1 + v_b1
+        current.w2 = current.w2 + v_w2
+        current.b2 = current.b2 + v_b2
+        train_mse = loss(current, x_train, y_train)
+        val_mse = loss(current, x_val, y_val) if len(x_val) else train_mse
+        history.append(EpochRecord(epoch, train_mse * to_m2, val_mse * to_m2))
+        if val_mse < best_val:
+            best_val = val_mse
+            best = current.copy()
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= config.patience:
+                break
+    return best, history
+
+
+def reference_forward_batch(m, x):
+    xn = 2.0 * (x - m.in_min) / (m.in_max - m.in_min) - 1.0
+    yn = np.tanh(xn @ m.w1.T + m.b1) @ m.w2 + m.b2
+    return (yn + 1.0) / 2.0 * (m.out_max - m.out_min) + m.out_min
 
 
 def numeric_gradient(model, inputs, targets, h=1e-5):
@@ -301,6 +373,10 @@ class TestSweep:
         )
         assert sweep(ds, fwd) == sweep(ds, rev)
 
+    def test_no_seeds_gives_empty_table(self):
+        config = SweepConfig(hidden_sizes=(2, 3), seeds=())
+        assert sweep(self.survey_dataset(), config).rows == ()
+
     def test_default_grid_is_180_jobs(self):
         config = SweepConfig()
         assert len(config.hidden_sizes) * len(config.seeds) == 180
@@ -314,3 +390,56 @@ class TestDatasetFromSurvey:
         assert ds.inputs.shape == (41, 3)
         assert ds.feature_names == ("ap0", "ap100", "ap200")
         assert ds.targets[0] == 0.0 and ds.targets[-1] == 200.0
+
+
+class TestStackedTrainer:
+    """`sweep` trains all seeds of a hidden size as one stack; `train` is a
+    stack of one. Both must match `reference_train` bit for bit."""
+
+    def test_sweep_rows_match_per_network_reference(self):
+        ds = TestSweep.survey_dataset()
+        config = SweepConfig(
+            hidden_sizes=(2, 3), seeds=(0, 1, 2, 3), train=TrainConfig(max_epochs=60)
+        )
+        rows = {(r.hidden, r.seed): r for r in sweep(ds, config).rows}
+        epochs = []
+        for hidden in config.hidden_sizes:
+            for seed in config.seeds:
+                splits = split_dataset(ds.n, seed)
+                model, history = reference_train(
+                    init_mlp(3, hidden, seed), ds, splits, config.train
+                )
+                epochs.append(len(history))
+                pred = reference_forward_batch(model, ds.inputs)
+                assert np.array_equal(forward_batch(model, ds.inputs), pred)
+                test = list(splits.test)
+                row = rows[(hidden, seed)]
+                assert row.test == regression_metrics(ds.targets[test], pred[test])
+                assert row.all == regression_metrics(ds.targets, pred)
+        # the grid holds networks stopped on patience and networks that
+        # ran to max_epochs, so the stack compacts while others train on
+        assert min(epochs) < 60 and max(epochs) == 60
+
+    @pytest.mark.parametrize(
+        "dataset, splits, config",
+        [
+            (
+                linear_task(),
+                split_dataset(41, seed=3),
+                TrainConfig(max_epochs=300, learning_rate=0.1, momentum=0.95),
+            ),
+            (TestSweep.survey_dataset(), split_dataset(41, seed=2), TrainConfig()),
+            (
+                linear_task(),
+                SplitIndices(train=tuple(range(0, 41, 2)), validation=(), test=(1, 3)),
+                TrainConfig(max_epochs=50),
+            ),
+        ],
+        ids=["one-input", "survey", "no-validation"],
+    )
+    def test_train_matches_reference(self, dataset, splits, config):
+        model = init_mlp(dataset.inputs.shape[1], 5, seed=7)
+        trained, history = train(model, dataset, splits, config)
+        ref_model, ref_history = reference_train(model, dataset, splits, config)
+        assert trained == ref_model
+        assert history == ref_history
