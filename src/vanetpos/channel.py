@@ -34,7 +34,6 @@ class Rsu:
     position: LocalPoint
     channel: int
     tx_ref_rss_dbm: float = -40.0
-    beacon_interval_ms: float = 100.0
 
     def __post_init__(self) -> None:
         if not WIFI_CHANNEL_MIN <= self.channel <= WIFI_CHANNEL_MAX:
@@ -42,8 +41,6 @@ class Rsu:
                 f"RSU {self.id}: channel {self.channel} outside "
                 f"[{WIFI_CHANNEL_MIN}, {WIFI_CHANNEL_MAX}]"
             )
-        if self.beacon_interval_ms <= 0:
-            raise ValueError(f"RSU {self.id}: beacon_interval_ms must be > 0")
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,8 @@ class SurveyLayout:
     antenna_z_m: float = 1.10
 
     def __post_init__(self) -> None:
+        if not self.rsus:
+            raise ValueError("layout needs at least one RSU")
         if self.step_m <= 0:
             raise ValueError("step_m must be > 0")
         if self.end_m < self.start_m:

@@ -11,11 +11,13 @@ data/anchors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .positioning import (
     RangeEstimator,
     SelectionPolicy,
     locate,
+    validate_deployment,
 )
 
 SWEEP_CSV_HEADER = (
@@ -49,8 +52,6 @@ SWEEP_CSV_HEADER = (
 TRACE_CSV_HEADER = (
     "t_s,x_true_m,x_est_m,y_est_m,source,used_rsus,quality_m,abs_error_m"
 )
-
-_DEFAULT_ORIGIN = GlobalPosition(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,120 +65,135 @@ class EstimatorSpec:
     momentum: float = 0.9
     patience: int = 50
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("poly", "nn"):
+            raise ValueError(
+                f"estimator.kind must be 'poly' or 'nn', got {self.kind!r}"
+            )
+        if self.hidden < 1:
+            raise ValueError("estimator.hidden must be >= 1")
+        self.train_config()  # checks the training fields
+
+    def train_config(self) -> nn.TrainConfig:
+        return nn.TrainConfig(
+            max_epochs=self.max_epochs,
+            patience=self.patience,
+            learning_rate=self.learning_rate,
+            momentum=self.momentum,
+        )
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     layout: ch.SurveyLayout
     channel: ch.ChannelModel
-    seed: int
-    gps_outages: Tuple[Tuple[float, float], ...]
-    origin: GlobalPosition
-    estimator: Optional[EstimatorSpec]
-    policy: SelectionPolicy
+    seed: int = 0
+    gps_outages: Tuple[Tuple[float, float], ...] = ()
+    origin: GlobalPosition = GlobalPosition(0.0, 0.0, 0.0)
+    estimator: Optional[EstimatorSpec] = None
+    policy: SelectionPolicy = SelectionPolicy()
+
+    def __post_init__(self) -> None:
+        for lo, hi in self.gps_outages:
+            if lo > hi or lo < self.layout.start_m or hi > self.layout.end_m:
+                raise ValueError(
+                    f"outage [{lo}, {hi}] outside survey range "
+                    f"[{self.layout.start_m}, {self.layout.end_m}]"
+                )
 
 
-def _check_keys(section: dict, allowed: Sequence[str], context: str) -> None:
+@dataclass(frozen=True)
+class _RsuEntry:
+    """How the config writes an RSU: its position as flat keys."""
+
+    id: str
+    x_m: float
+    channel: int
+    y_m: float = 0.0
+    z_m: float = 1.10
+    tx_ref_rss_dbm: float = -40.0
+
+    def rsu(self) -> ch.Rsu:
+        position = LocalPoint(self.x_m, self.y_m, self.z_m)
+        return ch.Rsu(self.id, position, self.channel, self.tx_ref_rss_dbm)
+
+
+# the JSON types each scalar annotation accepts; bool is never a number
+_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+# resolving a dataclass's string annotations is costly: once per class
+_field_types = functools.lru_cache(maxsize=None)(get_type_hints)
+
+
+def _check_section(section, context: str, allowed, required) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"{context} must be an object, got {type(section).__name__}"
+        )
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    missing = [k for k in required if k not in section]
+    if missing:
+        raise ConfigError(f"{context} missing key(s): {missing}")
 
 
-def _parse_rsu(entry: dict, index: int) -> ch.Rsu:
-    allowed = ("id", "x_m", "y_m", "z_m", "channel", "tx_ref_rss_dbm", "beacon_interval_ms")
-    _check_keys(entry, allowed, f"layout.rsus[{index}]")
-    try:
-        return ch.Rsu(
-            id=str(entry["id"]),
-            position=LocalPoint(
-                float(entry["x_m"]),
-                float(entry.get("y_m", 0.0)),
-                float(entry.get("z_m", 1.10)),
-            ),
-            channel=int(entry["channel"]),
-            tx_ref_rss_dbm=float(entry.get("tx_ref_rss_dbm", -40.0)),
-            beacon_interval_ms=float(entry.get("beacon_interval_ms", 100.0)),
-        )
-    except KeyError as e:
-        raise ConfigError(f"layout.rsus[{index}] missing key {e}") from e
+def _build(cls, section, context: str, base=None, **given):
+    """Build the dataclass `cls` from the config object `section`.
+
+    Every key of `section` names a field of `cls` that `given` (fields the
+    caller built from elsewhere) does not fill; fields without a default
+    are required unless `base`, an instance of `cls`, supplies the values
+    of absent keys. Values are checked against the field annotations by
+    `_value`; value ranges are left to the dataclass's own validation.
+    """
+    own = [f for f in fields(cls) if f.name not in given]
+    required = [f.name for f in own if f.default is MISSING and base is None]
+    _check_section(section, context, [f.name for f in own], required)
+    hints = _field_types(cls)
+    values = dict(given)
+    for f in own:
+        if f.name in section:
+            where = f"{context}.{f.name}"
+            values[f.name] = _value(hints[f.name], section[f.name], where, f.default)
+        elif base is not None:
+            values[f.name] = getattr(base, f.name)
+    return cls(**values)
 
 
-def _parse_layout(section: dict) -> ch.SurveyLayout:
-    allowed = ("rsus", "start_m", "end_m", "step_m", "lane_y_m", "antenna_z_m")
-    _check_keys(section, allowed, "layout")
-    if "rsus" not in section or not section["rsus"]:
-        raise ConfigError("layout.rsus must list at least one RSU")
-    rsus = [_parse_rsu(e, i) for i, e in enumerate(section["rsus"])]
-    return ch.SurveyLayout(
-        rsus=rsus,
-        start_m=float(section.get("start_m", 0.0)),
-        end_m=float(section.get("end_m", 200.0)),
-        step_m=float(section.get("step_m", 5.0)),
-        lane_y_m=float(section.get("lane_y_m", 7.0)),
-        antenna_z_m=float(section.get("antenna_z_m", 1.10)),
-    )
+def _value(kind, value, where: str, default=MISSING):
+    """Check one config value against the annotation `kind` and convert it.
 
-
-def _parse_channel(section: dict) -> ch.ChannelModel:
-    allowed = [f.name for f in fields(ch.ChannelModel)]
-    _check_keys(section, allowed, "channel")
-    return ch.ChannelModel(**{k: float(v) for k, v in section.items()})
-
-
-def _parse_origin(section: dict) -> GlobalPosition:
-    allowed = ("latitude_deg", "longitude_deg", "altitude_m")
-    _check_keys(section, allowed, "scenario.origin")
-    return GlobalPosition(
-        latitude_deg=float(section.get("latitude_deg", 0.0)),
-        longitude_deg=float(section.get("longitude_deg", 0.0)),
-        altitude_m=float(section.get("altitude_m", 0.0)),
-    )
-
-
-def _parse_estimator(section: dict) -> EstimatorSpec:
-    allowed = (
-        "kind", "cutoff_m", "hidden", "train_seed", "max_epochs",
-        "learning_rate", "momentum", "patience",
-    )
-    _check_keys(section, allowed, "estimator")
-    kind = section.get("kind")
-    if kind not in ("poly", "nn"):
-        raise ConfigError(f"estimator.kind must be 'poly' or 'nn', got {kind!r}")
-    return EstimatorSpec(
-        kind=kind,
-        cutoff_m=float(section.get("cutoff_m", 60.0)),
-        hidden=int(section.get("hidden", 8)),
-        train_seed=int(section.get("train_seed", 0)),
-        max_epochs=int(section.get("max_epochs", 1000)),
-        learning_rate=float(section.get("learning_rate", 0.05)),
-        momentum=float(section.get("momentum", 0.9)),
-        patience=int(section.get("patience", 50)),
-    )
-
-
-def _parse_policy(section: dict) -> SelectionPolicy:
-    allowed = [f.name for f in fields(SelectionPolicy)]
-    _check_keys(section, allowed, "scenario.policy")
-    defaults = SelectionPolicy()
-    return SelectionPolicy(
-        min_rsu_count=int(section.get("min_rsu_count", defaults.min_rsu_count)),
-        require_distinct_channels=bool(
-            section.get("require_distinct_channels", defaults.require_distinct_channels)
-        ),
-        prefer_weakest_rss=bool(
-            section.get("prefer_weakest_rss", defaults.prefer_weakest_rss)
-        ),
-        min_rsu_spacing_m=float(
-            section.get("min_rsu_spacing_m", defaults.min_rsu_spacing_m)
-        ),
-        near_field_m=float(section.get("near_field_m", defaults.near_field_m)),
+    A scalar must be exactly its JSON type (a float field also takes an
+    int, stored as a float). An RSU is built from its flat entry, any other
+    dataclass from a nested object (absent keys keep the values of the
+    field's default, if it has one), and a list or tuple from a JSON list.
+    """
+    if kind in _JSON_TYPES:
+        if type(value) not in _JSON_TYPES[kind]:
+            raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+        return kind(value)
+    if kind is ch.Rsu:
+        return _build(_RsuEntry, value, where).rsu()
+    if is_dataclass(kind):
+        return _build(kind, value, where, None if default is MISSING else default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    container, args = get_origin(kind), get_args(kind)
+    if container is list or args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    elif len(value) != len(args):
+        raise ConfigError(f"{where} must list {len(args)} values, got {value!r}")
+    return container(
+        _value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value))
     )
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario config JSON; unknown keys are errors.
 
-    Every malformed value, down to the dataclass validators, raises
-    ConfigError.
+    Every section goes through `_build`. Every malformed value, down to the
+    dataclass validators and the deployment rules of
+    `positioning.validate_deployment`, raises ConfigError.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -186,51 +202,31 @@ def load_scenario(path: str) -> ScenarioConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     try:
-        return _parse_scenario(raw, path)
+        config = _parse_scenario(raw)
+        validate_deployment(config.layout.rsus, config.policy)
     except ConfigError:
         raise
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{path}: {e}") from e
+    return config
 
 
-def _parse_scenario(raw, path: str) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(raw, ("layout", "channel", "scenario", "estimator"), "config")
-    if "layout" not in raw or "channel" not in raw:
-        raise ConfigError(f"{path}: layout and channel sections are required")
-
-    layout = _parse_layout(raw["layout"])
-    model = _parse_channel(raw.get("channel", {}))
-
-    scenario = raw.get("scenario", {})
-    _check_keys(
-        scenario, ("seed", "gps_outages", "origin", "policy"), "scenario"
+def _parse_scenario(raw) -> ScenarioConfig:
+    _check_section(
+        raw, "config", ("layout", "channel", "scenario", "estimator"),
+        ("layout", "channel"),
     )
-    seed = int(scenario.get("seed", 0))
-    outages = []
-    for pair in scenario.get("gps_outages", []):
-        if len(pair) != 2:
-            raise ConfigError("scenario.gps_outages entries must be [start, end]")
-        lo, hi = float(pair[0]), float(pair[1])
-        if lo > hi or lo < layout.start_m or hi > layout.end_m:
-            raise ConfigError(
-                f"outage [{lo}, {hi}] outside survey range "
-                f"[{layout.start_m}, {layout.end_m}]"
-            )
-        outages.append((lo, hi))
-    origin = _parse_origin(scenario.get("origin", {}))
-    policy = _parse_policy(scenario.get("policy", {}))
-
-    est = _parse_estimator(raw["estimator"]) if "estimator" in raw else None
-    return ScenarioConfig(
-        layout=layout,
-        channel=model,
-        seed=seed,
-        gps_outages=tuple(outages),
-        origin=origin,
-        estimator=est,
-        policy=policy,
+    return _build(
+        ScenarioConfig,
+        raw.get("scenario", {}),
+        "scenario",
+        layout=_build(ch.SurveyLayout, raw["layout"], "layout"),
+        channel=_build(ch.ChannelModel, raw["channel"], "channel"),
+        estimator=(
+            _build(EstimatorSpec, raw["estimator"], "estimator")
+            if "estimator" in raw
+            else None
+        ),
     )
 
 
@@ -267,18 +263,11 @@ def calibrate_nn(
     survey = ch.generate_survey(layout, model, seed=seed)
     dataset = nn.dataset_from_survey(survey)
     splits = nn.split_dataset(dataset.n, spec.train_seed)
-    config = nn.TrainConfig(
-        max_epochs=spec.max_epochs,
-        patience=spec.patience,
-        learning_rate=spec.learning_rate,
-        momentum=spec.momentum,
-        seed=spec.train_seed,
-    )
     trained, _ = nn.train(
         nn.init_mlp(dataset.inputs.shape[1], spec.hidden, spec.train_seed),
         dataset,
         splits,
-        config,
+        spec.train_config(),
     )
     pred = nn.forward_batch(trained, dataset.inputs)
     rmse = float(np.sqrt(np.mean((pred - dataset.targets) ** 2)))

@@ -10,7 +10,7 @@ class PolarRegion(VanetPosError):
 
 
 class InsufficientAnchors(VanetPosError):
-    """Fewer ranging anchors (RSUs) than the solve mode requires."""
+    """Fewer ranging anchors (RSUs) than the solve requires."""
 
 
 class DegenerateGeometry(VanetPosError):

@@ -30,8 +30,11 @@ _MAX_LAT_DEG = 89.0
 _GN_MAX_ITERS = 100
 _GN_STEP_TOL = 1e-9
 
-# anchors closer than this are treated as coincident / collinear / coplanar
+# anchors closer than this are treated as coincident / collinear
 _GEOM_TOL = 1e-9
+
+# the coordinates a solve frees: x and y; z stays at the hint's height
+_XY = np.array([True, True, False])
 
 
 @dataclass(frozen=True)
@@ -122,29 +125,13 @@ def _anchor_matrix(ranges: Sequence[AnchorRange]) -> np.ndarray:
     return np.array([r.anchor.as_array() for r in ranges], dtype=float)
 
 
-def _collinear(anchors: np.ndarray) -> bool:
-    """True when all anchors lie on one line (always true for two)."""
+def _collinear_xy(anchors: np.ndarray) -> bool:
+    """True when the anchors lie on one (x, y) line (always true for two)."""
     if len(anchors) <= 2:
         return True
-    centered = anchors - anchors.mean(axis=0)
+    centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
     return bool(s[1] <= _GEOM_TOL * max(s[0], 1.0))
-
-
-def _collinear_xy(anchors: np.ndarray) -> bool:
-    """Collinearity of the anchors projected into the 2D solve plane."""
-    return _collinear(
-        np.column_stack([anchors[:, 0], anchors[:, 1], np.zeros(len(anchors))])
-    )
-
-
-def _coplanar(anchors: np.ndarray) -> bool:
-    """True when all anchors lie in one plane (always true for three)."""
-    if len(anchors) <= 3:
-        return True
-    centered = anchors - anchors.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    return bool(s[2] <= _GEOM_TOL * max(s[0], 1.0))
 
 
 def _line_direction_xy(anchors: np.ndarray) -> np.ndarray:
@@ -153,12 +140,6 @@ def _line_direction_xy(anchors: np.ndarray) -> np.ndarray:
     _, _, vt = np.linalg.svd(centered)
     d = vt[0]
     return d / np.linalg.norm(d)
-
-
-def _plane_normal(anchors: np.ndarray) -> np.ndarray:
-    centered = anchors - anchors.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered)
-    return vt[2]
 
 
 def _reflect_across_line_2d(p: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -171,60 +152,48 @@ def _reflect_across_line_2d(p: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.array([mirrored[0], mirrored[1], p[2]])
 
 
-def _reflect_across_plane(p: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    base = anchors.mean(axis=0)
-    n = _plane_normal(anchors)
-    rel = p - base
-    return p - 2.0 * rel.dot(n) * n
-
-
 def _objective(p: np.ndarray, anchors: np.ndarray, rng_m: np.ndarray) -> float:
     dists = np.linalg.norm(anchors - p, axis=1)
     return float(np.sum((dists - rng_m) ** 2))
 
 
 def _linear_init(
-    anchors: np.ndarray, rng_m: np.ndarray, free: np.ndarray, z_fixed: float
+    anchors: np.ndarray, rng_m: np.ndarray, z_fixed: float
 ) -> np.ndarray:
     """Closed-form linearized solve (pairwise-difference equations).
 
     Subtracting the first range equation from the others cancels the
-    quadratic terms, leaving a linear system in the free coordinates. Exact
-    for noiseless data with non-degenerate anchors; for rank-deficient
-    layouts lstsq returns the minimum-norm component (a point on the anchor
-    line), which the caller nudges off before iterating.
+    quadratic terms, leaving a linear system in (x, y). Exact for noiseless
+    data with non-degenerate anchors; for collinear anchors lstsq returns
+    the minimum-norm component (a point on the anchor line), which the
+    caller nudges off before iterating.
     """
     a0 = anchors[0]
     rows = []
     rhs = []
     for a_i, r_i in zip(anchors[1:], rng_m[1:]):
-        rows.append(2.0 * (a_i - a0)[free])
-        fixed = ~free
-        const = np.sum((z_fixed - a_i[fixed]) ** 2) - np.sum(
-            (z_fixed - a0[fixed]) ** 2
+        rows.append(2.0 * (a_i - a0)[_XY])
+        const = np.sum((z_fixed - a_i[~_XY]) ** 2) - np.sum(
+            (z_fixed - a0[~_XY]) ** 2
         )
         rhs.append(
             rng_m[0] ** 2
             - r_i**2
-            + np.sum(a_i[free] ** 2)
-            - np.sum(a0[free] ** 2)
+            + np.sum(a_i[_XY] ** 2)
+            - np.sum(a0[_XY] ** 2)
             + const
         )
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     p = np.full(3, z_fixed, dtype=float)
-    p[free] = sol
+    p[_XY] = sol
     return p
 
 
 def _gauss_newton(
-    start: np.ndarray,
-    anchors: np.ndarray,
-    rng_m: np.ndarray,
-    free: np.ndarray,
+    start: np.ndarray, anchors: np.ndarray, rng_m: np.ndarray
 ) -> np.ndarray:
-    """Minimize sum((||p - a_i|| - r_i)^2) over the coordinates in `free`.
+    """Minimize sum((||p - a_i|| - r_i)^2) over (x, y), z held at start's z.
 
-    `free` is a boolean mask: 2D solves fix z, 3D frees all three.
     Gauss-Newton steps with Levenberg damping: the damping handles the flat
     valley that appears when noisy ranges leave the circles disjoint and
     the minimum sits on the anchor line. Converges on step norm, on
@@ -235,13 +204,12 @@ def _gauss_newton(
     lam = 1e-3
     prev_obj = _objective(p, anchors, rng_m)
     stagnant = 0
-    n_free = int(np.sum(free))
     for _ in range(_GN_MAX_ITERS):
         diffs = p - anchors
         dists = np.linalg.norm(diffs, axis=1)
         dists = np.maximum(dists, 1e-12)
         residuals = dists - rng_m
-        jac = (diffs / dists[:, None])[:, free]
+        jac = (diffs / dists[:, None])[:, _XY]
         normal = jac.T @ jac
         grad = jac.T @ residuals
 
@@ -250,15 +218,13 @@ def _gauss_newton(
         improved = False
         for _ in range(40):
             try:
-                step = np.linalg.solve(
-                    normal + lam * np.eye(n_free), -grad
-                )
+                step = np.linalg.solve(normal + lam * np.eye(2), -grad)
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(
-                    normal + lam * np.eye(n_free), -grad, rcond=None
+                    normal + lam * np.eye(2), -grad, rcond=None
                 )
             trial = p.copy()
-            trial[free] += step
+            trial[_XY] += step
             obj = _objective(trial, anchors, rng_m)
             if np.isfinite(obj) and obj <= prev_obj + 1e-18:
                 improved = True
@@ -283,112 +249,67 @@ def _gauss_newton(
 
 
 def multilaterate(
-    ranges: Sequence[AnchorRange],
-    mode: str = "2d",
-    hint: Optional[LocalPoint] = None,
+    ranges: Sequence[AnchorRange], hint: Optional[LocalPoint] = None
 ) -> LocalPoint:
-    """Estimate a position from distances to known anchors.
+    """Estimate a position on the road plane from distances to known anchors.
 
-    Least-squares in the range residuals, solved by Gauss-Newton. 2D mode
-    fixes z to the hint's z (or 0) and solves for (x, y); 3D mode needs at
-    least three anchors and solves all coordinates.
+    Least squares in the range residuals, solved by Gauss-Newton for (x, y)
+    with z fixed to the hint's z (or 0); the anchors' heights enter the
+    distances but are never solved for. Needs at least two anchors that are
+    distinct in (x, y).
 
-    Mirror ambiguities (anchors collinear in 2D, coplanar in 3D) resolve to
-    the solution nearer the hint. Without a hint, 2D falls back to the
-    road-side convention of picking the solution with y >= the anchors' mean
-    y; 3D raises DegenerateGeometry since no such convention is defined.
+    Anchors collinear in (x, y) leave a mirror ambiguity across their line:
+    it resolves to the solution nearer the hint or, without a hint, to the
+    road-side convention of picking the solution with y >= the anchors'
+    mean y.
     """
-    mode = mode.lower()
-    if mode not in ("2d", "3d"):
-        raise ValueError(f"mode must be '2d' or '3d', got {mode!r}")
-    required = 2 if mode == "2d" else 3
-    if len(ranges) < required:
+    if len(ranges) < 2:
         raise InsufficientAnchors(
-            f"{mode.upper()} multilateration needs >= {required} anchors, "
-            f"got {len(ranges)}"
+            f"2D multilateration needs >= 2 anchors, got {len(ranges)}"
         )
 
     anchors = _anchor_matrix(ranges)
     rng_m = np.array([r.range_m for r in ranges], dtype=float)
-    spread = np.linalg.norm(anchors - anchors.mean(axis=0), axis=1)
-    if np.all(spread <= _GEOM_TOL):
-        raise DegenerateGeometry("all anchors coincident")
+    xy_spread = np.linalg.norm(
+        anchors[:, :2] - anchors[:, :2].mean(axis=0), axis=1
+    )
+    if np.all(xy_spread <= _GEOM_TOL):
+        raise DegenerateGeometry("anchors coincident in the 2D solve plane")
 
-    if mode == "2d":
-        xy_spread = np.linalg.norm(
-            anchors[:, :2] - anchors[:, :2].mean(axis=0), axis=1
-        )
-        if np.all(xy_spread <= _GEOM_TOL):
-            raise DegenerateGeometry(
-                "anchors coincident in the 2D solve plane"
-            )
-        z = hint.z_m if hint is not None else 0.0
-        free = np.array([True, True, False])
-        collinear = _collinear_xy(anchors)
-        if hint is not None:
-            start = np.array([hint.x_m, hint.y_m, z])
-            if collinear:
-                # a start on the anchor line never leaves it; nudge off
-                d = _line_direction_xy(anchors)
-                normal = np.array([-d[1], d[0]])
-                rel = start[:2] - anchors[:, :2].mean(axis=0)
-                if abs(rel.dot(normal)) < 1e-6:
-                    start[:2] += normal
-        else:
-            start = _linear_init(anchors, rng_m, free, z)
-            if collinear:
-                # the linearized solve lands on the anchor line; push off on
-                # the +y side so the road-side convention holds
-                d = _line_direction_xy(anchors)
-                normal = np.array([-d[1], d[0]])
-                if normal[1] < 0:
-                    normal = -normal
-                start[:2] += normal
-
-        p = _gauss_newton(start, anchors, rng_m, free)
-
-        if collinear:
-            mirror = _reflect_across_line_2d(p, anchors)
-            if hint is not None:
-                h = np.array([hint.x_m, hint.y_m, z])
-                if np.linalg.norm(mirror - h) < np.linalg.norm(p - h):
-                    p = mirror
-            else:
-                mean_y = anchors[:, 1].mean()
-                if p[1] < mean_y and mirror[1] >= mean_y:
-                    p = mirror
-        return LocalPoint(p[0], p[1], p[2])
-
-    # 3D
-    free = np.array([True, True, True])
-    if _collinear(anchors):
-        raise DegenerateGeometry(
-            "3D multilateration with collinear anchors: solutions form a "
-            "circle around the anchor line"
-        )
-    coplanar = _coplanar(anchors)
-    if coplanar and hint is None:
-        raise DegenerateGeometry(
-            "3D multilateration with coplanar anchors is mirror-ambiguous; "
-            "provide a hint to pick a side"
-        )
+    z = hint.z_m if hint is not None else 0.0
+    collinear = _collinear_xy(anchors)
     if hint is not None:
-        start = hint.as_array()
-        if coplanar:
-            base = anchors.mean(axis=0)
-            n = _plane_normal(anchors)
-            if abs((start - base).dot(n)) < 1e-6:
-                start = start + n
+        start = np.array([hint.x_m, hint.y_m, z])
+        if collinear:
+            # a start on the anchor line never leaves it; nudge off
+            d = _line_direction_xy(anchors)
+            normal = np.array([-d[1], d[0]])
+            rel = start[:2] - anchors[:, :2].mean(axis=0)
+            if abs(rel.dot(normal)) < 1e-6:
+                start[:2] += normal
     else:
-        start = _linear_init(anchors, rng_m, free, 0.0)
+        start = _linear_init(anchors, rng_m, z)
+        if collinear:
+            # the linearized solve lands on the anchor line; push off on
+            # the +y side so the road-side convention holds
+            d = _line_direction_xy(anchors)
+            normal = np.array([-d[1], d[0]])
+            if normal[1] < 0:
+                normal = -normal
+            start[:2] += normal
 
-    p = _gauss_newton(start, anchors, rng_m, free)
+    p = _gauss_newton(start, anchors, rng_m)
 
-    if coplanar and hint is not None:
-        mirror = _reflect_across_plane(p, anchors)
-        h = hint.as_array()
-        if np.linalg.norm(mirror - h) < np.linalg.norm(p - h):
-            p = mirror
+    if collinear:
+        mirror = _reflect_across_line_2d(p, anchors)
+        if hint is not None:
+            h = np.array([hint.x_m, hint.y_m, z])
+            if np.linalg.norm(mirror - h) < np.linalg.norm(p - h):
+                p = mirror
+        else:
+            mean_y = anchors[:, 1].mean()
+            if p[1] < mean_y and mirror[1] >= mean_y:
+                p = mirror
     return LocalPoint(p[0], p[1], p[2])
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import SurveyDataset
-from .errors import DimensionMismatch, EmptyBatch, TooFewSamples
+from .errors import DimensionMismatch, EmptyBatch, TooFewSamples, VanetPosError
 from .metrics import MetricsReport, regression_metrics
 
 _VAL_FRACTION = 0.15
@@ -87,7 +87,6 @@ class TrainConfig:
     patience: int = 6
     learning_rate: float = 0.01
     momentum: float = 0.9
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_epochs <= 0 or self.patience <= 0 or self.learning_rate <= 0:
@@ -314,9 +313,9 @@ def _train_stack(
     in_min, in_max = x_tr.min(axis=1), x_tr.max(axis=1)
     out_min, out_max = y_tr.min(axis=1), y_tr.max(axis=1)
     if np.any(in_max - in_min <= 0):
-        raise ValueError("degenerate input range in the training split")
+        raise VanetPosError("degenerate input range in the training split")
     if np.any(out_max - out_min <= 0):
-        raise ValueError("degenerate target range in the training split")
+        raise VanetPosError("degenerate target range in the training split")
     # normalized once per call, each network with its own ranges
     x_lo, x_hi = in_min[:, None, :], in_max[:, None, :]
     y_lo, y_hi = out_min[:, None], out_max[:, None]

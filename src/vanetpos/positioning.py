@@ -11,6 +11,7 @@ range-and-multilaterate chain with a direct street-position readout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -56,7 +57,6 @@ class SelectionPolicy:
 
     min_rsu_count: int = 2
     require_distinct_channels: bool = True
-    prefer_weakest_rss: bool = True
     min_rsu_spacing_m: float = 100.0
     near_field_m: float = 60.0
 
@@ -130,12 +130,15 @@ class PositionFix:
 
 
 def validate_deployment(rsus: Sequence[Rsu], policy: SelectionPolicy) -> None:
-    """Check the minimum spacing rule between every RSU pair."""
-    for a, b in itertools.combinations(rsus, 2):
-        d = float(
-            sum((x - y) ** 2 for x, y in zip(a.position.as_array(), b.position.as_array()))
-            ** 0.5
-        )
+    """Check the deployment rules: unique ids, minimum spacing per pair."""
+    seen = set()
+    for rsu in rsus:
+        if rsu.id in seen:
+            raise ValueError(f"duplicate RSU id {rsu.id!r}")
+        seen.add(rsu.id)
+    points = [(r.position.x_m, r.position.y_m, r.position.z_m) for r in rsus]
+    for (a, pa), (b, pb) in itertools.combinations(zip(rsus, points), 2):
+        d = math.dist(pa, pb)
         if d < policy.min_rsu_spacing_m:
             raise ValueError(
                 f"RSUs {a.id} and {b.id} are {d:.1f} m apart; policy requires "
@@ -255,12 +258,12 @@ def _locate_polynomial(
     core = policy.min_rsu_count
     if len(ranges) > core:
         fixes = [
-            multilaterate(list(subset), "2d", hint=hint)
+            multilaterate(list(subset), hint=hint)
             for subset in itertools.combinations(ranges, core)
         ]
         local = fuse_fixes(fixes)
     else:
-        local = multilaterate(ranges, "2d", hint=hint)
+        local = multilaterate(ranges, hint=hint)
 
     used = tuple(b.rsu.id for b in selected)
     quality = estimator.rmse_for(used)

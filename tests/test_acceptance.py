@@ -187,7 +187,7 @@ class TestCriterion7MultilaterationOracle:
                 AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - a)))
                 for a in anchors3
             ]
-            p = multilaterate(ranges, "2d")
+            p = multilaterate(ranges)
             err = float(np.linalg.norm(p.as_array() - truth))
             worst = max(worst, err)
             assert err < 1e-6
@@ -204,8 +204,7 @@ class TestCriterion7MultilaterationOracle:
                 for a in anchors3
             ]
             p = multilaterate(
-                [AnchorRange(LocalPoint(*a), r) for a, r in zip(anchors3, ranges_m)],
-                "2d",
+                [AnchorRange(LocalPoint(*a), r) for a, r in zip(anchors3, ranges_m)]
             )
             # independent check: argmin of the same objective on a 0.01 m grid
             xs = np.arange(truth[0] - 1.0, truth[0] + 1.0 + 0.005, 0.01)

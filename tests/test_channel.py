@@ -220,10 +220,6 @@ class TestValidation:
         with pytest.raises(ChannelOutOfRange):
             Rsu(id="x", position=LocalPoint(0, 0, 0), channel=14)
 
-    def test_beacon_interval_positive(self):
-        with pytest.raises(ValueError):
-            Rsu(id="x", position=LocalPoint(0, 0, 0), channel=6, beacon_interval_ms=0)
-
     def test_layout_step_positive(self):
         with pytest.raises(ValueError):
             SurveyLayout(rsus=standard_rsu_row([0.0], [6]), step_m=0.0)

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanetpos.cli import main
+from vanetpos.cli import load_scenario, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run(argv, capsys):
@@ -61,6 +62,12 @@ class TestSurveyCommand:
         run(["survey", "--config", CONFIGS / "exp2.json", "--seed", 6, "--out", b], capsys)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_exp2_survey_bytes_pinned(self, exp2_csv):
+        # the same digest the benchmark checks
+        assert hashlib.sha256(exp2_csv.read_bytes()).hexdigest() == (
+            "08ec779303b34d4fa34901c10249b1509a33614f70599238ca6d523ee73721fc"
+        )
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             ["survey", "--config", tmp_path / "nope.json", "--out", tmp_path / "x.csv"],
@@ -80,17 +87,36 @@ class TestSurveyCommand:
         assert "typo_key" in err
 
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, named",
         [
-            (("layout",), "step_m", 0),
-            (("channel",), "far_sigma_db", -0.5),
-            (("layout", "rsus", 0), "x_m", "east"),
-            (("scenario", "policy"), "min_rsu_count", 1),
+            (("layout",), "step_m", 0, "step_m"),
+            (("channel",), "far_sigma_db", -0.5, "sigma"),
+            (("layout", "rsus", 0), "x_m", "east", "x_m"),
+            (("scenario", "policy"), "min_rsu_count", 1, "min_rsu_count"),
+            ((), "channel", [], "channel"),
+            ((), "scenario", [], "scenario"),
+            ((), "estimator", [], "estimator"),
+            (("layout",), "rsus", {"id": "ap0", "x_m": 0.0, "channel": 1},
+             "layout.rsus must be a list"),
+            (("layout", "rsus", 1), "id", "ap0", "ap0"),
+            (("layout", "rsus", 1), "x_m", 20.0, "20.0 m apart"),
+            (("estimator",), "hidden", 0, "hidden"),
+            (("estimator",), "patience", 0, "patience"),
+            (("estimator",), "hidden", 2.7, "hidden"),
+            (("scenario", "policy"), "require_distinct_channels", "false",
+             "require_distinct_channels"),
+            (("layout", "rsus", 0), "beacon_interval_ms", 100.0, "beacon_interval_ms"),
         ],
-        ids=["zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy"],
+        ids=[
+            "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
+            "channel-not-object", "scenario-not-object", "estimator-not-object",
+            "rsus-not-list", "duplicate-rsu-id", "rsus-20m-apart", "zero-hidden",
+            "zero-patience", "fractional-hidden", "string-bool",
+            "removed-beacon-interval",
+        ],
     )
     def test_malformed_value_exit_2_one_line(
-        self, section, key, value, tmp_path, capsys
+        self, section, key, value, named, tmp_path, capsys
     ):
         cfg = json.loads((CONFIGS / "drive.json").read_text())
         target = cfg
@@ -105,6 +131,7 @@ class TestSurveyCommand:
         assert code == 2
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert named in lines[0]
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -208,6 +235,23 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_constant_rss_column_exit_2_one_line(self, tmp_path, capsys):
+        # an RSU always at the -95 dBm floor leaves a degenerate input range
+        lines = ["x_m,rsu_id,rss_dbm,true_distance_m,channel"]
+        for x in range(0, 205, 5):
+            lines.append(f"{x}.0000,ap0,{-40.0 - x / 10:.4f},{x}.0000,1")
+            lines.append(f"{x}.0000,ap200,-95.0000,{200 - x}.0000,13")
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["sweep", flat, "--hidden", "2..2", "--seeds", 1,
+             "--out", tmp_path / "x.csv"],
+            capsys,
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_malformed_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("garbage\n")
@@ -250,6 +294,17 @@ class TestDriveCommand:
         run(["drive", "--config", CONFIGS / "drive.json", "--out", a], capsys)
         run(["drive", "--config", CONFIGS / "drive.json", "--out", b], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_drive_trace_bytes_pinned(self, tmp_path, capsys):
+        # the same digest the benchmark checks
+        out = tmp_path / "trace.csv"
+        code, _, _ = run(
+            ["drive", "--config", CONFIGS / "drive.json", "--out", out], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9501ef043c0cadd450f6b89ab800f7b78df2a6c779e9f4184cd7573a845a52f7"
+        )
 
     def test_summary_matches_independent_recomputation(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -316,3 +371,15 @@ class TestDriveCommand:
             ["drive", "--config", path, "--out", tmp_path / "x.csv"], capsys
         )
         assert code == 2
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the README's "Config format" example, comments stripped, is a valid config
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.json"
+    path.write_text(re.sub(r"//.*", "", example))
+    config = load_scenario(str(path))
+    assert [r.id for r in config.layout.rsus] == ["ap0"]
+    assert config.estimator is not None and config.estimator.kind == "poly"

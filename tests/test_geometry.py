@@ -99,7 +99,7 @@ class TestMultilaterate:
             AnchorRange(LocalPoint(0.0, 7.0, 0.0), r),
             AnchorRange(LocalPoint(200.0, 7.0, 0.0), r),
         ]
-        p = multilaterate(ranges, "2d", hint=LocalPoint(100.0, 0.0, 0.0))
+        p = multilaterate(ranges, hint=LocalPoint(100.0, 0.0, 0.0))
         assert abs(p.x_m - 100.0) < 1e-6
         assert abs(p.y_m - 0.0) < 1e-6
 
@@ -110,7 +110,7 @@ class TestMultilaterate:
             AnchorRange(LocalPoint(0.0, 7.0, 0.0), r),
             AnchorRange(LocalPoint(200.0, 7.0, 0.0), r),
         ]
-        p = multilaterate(ranges, "2d", hint=LocalPoint(100.0, 15.0, 0.0))
+        p = multilaterate(ranges, hint=LocalPoint(100.0, 15.0, 0.0))
         assert abs(p.y_m - 14.0) < 1e-6
 
     def test_road_side_convention_without_hint(self):
@@ -121,21 +121,13 @@ class TestMultilaterate:
             AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - np.array(a))))
             for a in anchors
         ]
-        p = multilaterate(ranges, "2d")
+        p = multilaterate(ranges)
         assert abs(p.x_m - 55.0) < 1e-6
         assert abs(p.y_m - 7.0) < 1e-6
 
     def test_single_anchor_rejected(self):
         with pytest.raises(InsufficientAnchors):
-            multilaterate([AnchorRange(LocalPoint(0, 0, 0), 5.0)], "2d")
-
-    def test_3d_needs_three_anchors(self):
-        ranges = [
-            AnchorRange(LocalPoint(0, 0, 0), 5.0),
-            AnchorRange(LocalPoint(10, 0, 0), 5.0),
-        ]
-        with pytest.raises(InsufficientAnchors):
-            multilaterate(ranges, "3d")
+            multilaterate([AnchorRange(LocalPoint(0, 0, 0), 5.0)])
 
     def test_coincident_anchors_rejected(self):
         ranges = [
@@ -143,7 +135,7 @@ class TestMultilaterate:
             AnchorRange(LocalPoint(1, 1, 0), 6.0),
         ]
         with pytest.raises(DegenerateGeometry):
-            multilaterate(ranges, "2d")
+            multilaterate(ranges)
 
     def test_collinear_three_anchor_case_against_brute_force(self):
         anchors = [(0.0, 7.0, 0.0), (100.0, 7.0, 0.0), (200.0, 7.0, 0.0)]
@@ -152,7 +144,7 @@ class TestMultilaterate:
             AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - np.array(a))))
             for a in anchors
         ]
-        p = multilaterate(ranges, "2d", hint=LocalPoint(50.0, -1.0, 0.0))
+        p = multilaterate(ranges, hint=LocalPoint(50.0, -1.0, 0.0))
         assert np.linalg.norm(p.as_array() - truth) < 1e-6
         grid = brute_force_minimum(anchors, [r.range_m for r in ranges], truth)
         assert np.linalg.norm(p.as_array() - grid) < 0.05
@@ -167,7 +159,7 @@ class TestMultilaterate:
                 AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - a)))
                 for a in anchors
             ]
-            p = multilaterate(ranges, "2d")
+            p = multilaterate(ranges)
             assert np.linalg.norm(p.as_array() - truth) < 1e-6
 
     def test_translation_equivariance(self):
@@ -179,45 +171,14 @@ class TestMultilaterate:
 
         base = multilaterate(
             [AnchorRange(LocalPoint(*a), float(r)) for a, r in zip(anchors, ranges)],
-            "2d",
         )
         moved = multilaterate(
             [
                 AnchorRange(LocalPoint(*(a + shift)), float(r))
                 for a, r in zip(anchors, ranges)
             ],
-            "2d",
         )
         assert np.allclose(moved.as_array() - shift, base.as_array(), atol=1e-6)
-
-    def test_3d_with_noncoplanar_anchors(self):
-        anchors = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [100.0, 0.0, 0.0],
-                [50.0, 80.0, 0.0],
-                [50.0, 30.0, 60.0],
-            ]
-        )
-        truth = np.array([40.0, 20.0, 10.0])
-        ranges = [
-            AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - a)))
-            for a in anchors
-        ]
-        p = multilaterate(ranges, "3d")
-        assert np.linalg.norm(p.as_array() - truth) < 1e-6
-
-    def test_3d_coplanar_without_hint_rejected(self):
-        anchors = np.array([[0.0, 0.0, 1.0], [100.0, 0.0, 1.0], [50.0, 80.0, 1.0]])
-        truth = np.array([40.0, 20.0, 5.0])
-        ranges = [
-            AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - a)))
-            for a in anchors
-        ]
-        with pytest.raises(DegenerateGeometry):
-            multilaterate(ranges, "3d")
-        p = multilaterate(ranges, "3d", hint=LocalPoint(50.0, 30.0, 4.0))
-        assert np.linalg.norm(p.as_array() - truth) < 1e-6
 
 
 class TestFuseFixes:

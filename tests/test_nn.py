@@ -282,7 +282,7 @@ class TestTrain:
         splits = split_dataset(ds.n, seed=3)
         model = init_mlp(1, 8, seed=3)
         config = TrainConfig(
-            max_epochs=4000, patience=4000, learning_rate=0.1, momentum=0.95, seed=3
+            max_epochs=4000, patience=4000, learning_rate=0.1, momentum=0.95
         )
         trained, history = train(model, ds, splits, config)
         pred = forward_batch(trained, ds.inputs)
@@ -294,7 +294,7 @@ class TestTrain:
         ds = linear_task()
         splits = split_dataset(ds.n, seed=1)
         model = init_mlp(1, 4, seed=1)
-        config = TrainConfig(max_epochs=200, patience=10, learning_rate=0.05, seed=1)
+        config = TrainConfig(max_epochs=200, patience=10, learning_rate=0.05)
         trained, history = train(model, ds, splits, config)
         assert len(history) <= config.max_epochs
         val = list(splits.validation)
@@ -310,7 +310,7 @@ class TestTrain:
         ds = dataset_from_survey(survey)
         splits = split_dataset(ds.n, seed=2)
         model = init_mlp(3, 6, seed=2)
-        trained, history = train(model, ds, splits, TrainConfig(seed=2))
+        trained, history = train(model, ds, splits, TrainConfig())
         val = list(splits.validation)
         returned = float(
             np.mean((forward_batch(trained, ds.inputs)[val] - ds.targets[val]) ** 2)
@@ -320,7 +320,7 @@ class TestTrain:
     def test_deterministic(self):
         ds = linear_task()
         splits = split_dataset(ds.n, seed=4)
-        config = TrainConfig(max_epochs=100, seed=4)
+        config = TrainConfig(max_epochs=100)
         a, _ = train(init_mlp(1, 4, seed=4), ds, splits, config)
         b, _ = train(init_mlp(1, 4, seed=4), ds, splits, config)
         assert a == b

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestLocate:
                 AnchorRange(LocalPoint(anchors[r], 0.0, 1.10), ranges[r])
                 for r in pair
             ]
-            pair_fixes.append(multilaterate(ar, "2d", hint=hint))
+            pair_fixes.append(multilaterate(ar, hint=hint))
         fused = fuse_fixes(pair_fixes)
         assert fix.local_position.x_m == pytest.approx(fused.x_m, abs=1e-9)
         assert fix.local_position.y_m == pytest.approx(fused.y_m, abs=1e-9)
@@ -390,7 +391,7 @@ class TestLocateNn:
             init_mlp(3, 8, seed=17),
             ds,
             splits,
-            TrainConfig(max_epochs=800, patience=800, learning_rate=0.05, seed=17),
+            TrainConfig(max_epochs=800, patience=800, learning_rate=0.05),
         )
         est = NnPositionEstimator(
             model=trained,
@@ -449,6 +450,11 @@ class TestValidateDeployment:
         rsus = standard_rsu_row([0.0, 50.0], [1, 7])
         with pytest.raises(ValueError):
             validate_deployment(rsus, SelectionPolicy())
+
+    def test_rejects_duplicate_ids(self):
+        a, b = standard_rsu_row([0.0, 100.0], [1, 7])
+        with pytest.raises(ValueError, match="duplicate RSU id 'ap0'"):
+            validate_deployment([a, replace(b, id="ap0")], SelectionPolicy())
 
 
 class TestTypes:
