@@ -10,9 +10,9 @@ line past a row of roadside units and records one RSS sample per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,6 +151,15 @@ def channels_overlap(a: int, b: int) -> bool:
     return abs(a - b) < _OVERLAP_SEPARATION
 
 
+def _sigmas(model: ChannelModel, n_cochannel_interferers: int) -> Tuple[float, float]:
+    """Near- and far-field noise sigmas with `n` co-channel interferers."""
+    var = n_cochannel_interferers * model.interference_sigma_db**2
+    return (
+        math.sqrt(model.near_sigma_db**2 + var),
+        math.sqrt(model.far_sigma_db**2 + var),
+    )
+
+
 def sample_rss(
     model: ChannelModel,
     distance_m: float,
@@ -164,14 +173,8 @@ def sample_rss(
     sensitivity. Deterministic given the generator state.
     """
     mean = expected_rss(model, distance_m)
-    base = (
-        model.near_sigma_db
-        if distance_m < model.near_field_m
-        else model.far_sigma_db
-    )
-    sigma = math.sqrt(
-        base**2 + n_cochannel_interferers * model.interference_sigma_db**2
-    )
+    near, far = _sigmas(model, n_cochannel_interferers)
+    sigma = near if distance_m < model.near_field_m else far
     value = mean + sigma * rng.standard_normal() if sigma > 0 else mean
     return max(value, model.rss_floor_dbm)
 
@@ -185,6 +188,50 @@ def count_interferers(rsu: Rsu, others: Sequence[Rsu]) -> int:
     )
 
 
+class RssSampler:
+    """Every RSU's RSS draw at one vehicle position, from per-layout constants.
+
+    An RSU's interferer count and noise sigmas depend only on the layout,
+    so they are computed once. Each position's noise comes from one
+    `standard_normal` call over its cells with sigma > 0, in RSU id order,
+    so the values and the generator state match, bit for bit, one
+    `sample_rss` call per RSU.
+    """
+
+    def __init__(self, rsus: Sequence[Rsu], model: ChannelModel) -> None:
+        self.rsus = sorted(rsus, key=lambda r: r.id)
+        self.model = model
+        self._positions = np.array([r.position.as_array() for r in self.rsus])
+        self._tx_ref_dbm = np.array([r.tx_ref_rss_dbm for r in self.rsus])
+        near, far = zip(
+            *(_sigmas(model, count_interferers(r, self.rsus)) for r in self.rsus)
+        )
+        self._near_sigma = np.array(near)
+        self._far_sigma = np.array(far)
+
+    def sample(
+        self, point: LocalPoint, rng: np.random.Generator
+    ) -> Tuple[List[float], List[float]]:
+        """Distances to, and RSS draws from, every RSU (in id order) at `point`."""
+        m = self.model
+        offsets = point.as_array() - self._positions
+        # one dot product per RSU, as np.linalg.norm takes it (np.einsum
+        # and norm(axis=1) round differently)
+        dist = np.sqrt((offsets[:, None, :] @ offsets[:, :, None]).ravel())
+        nearest = float(dist.min())
+        if nearest < m.ref_distance_m:
+            expected_rss(m, nearest)  # raises BelowReferenceDistance
+        # math.log10 per cell: np.log10 rounds differently on some inputs
+        log = np.array([math.log10(d / m.ref_distance_m) for d in dist.tolist()])
+        rss = np.maximum(
+            self._tx_ref_dbm - 10.0 * m.path_loss_exponent * log, m.rss_floor_dbm
+        )
+        sigma = np.where(dist < m.near_field_m, self._near_sigma, self._far_sigma)
+        noisy = sigma > 0
+        rss[noisy] += sigma[noisy] * rng.standard_normal(np.count_nonzero(noisy))
+        return dist.tolist(), np.maximum(rss, m.rss_floor_dbm).tolist()
+
+
 def generate_survey(
     layout: SurveyLayout, model: ChannelModel, seed: int
 ) -> SurveyDataset:
@@ -194,23 +241,14 @@ def generate_survey(
     so the dataset is a pure function of (layout, model, seed).
     """
     rng = np.random.default_rng(seed)
-    rsus = sorted(layout.rsus, key=lambda r: r.id)
+    sampler = RssSampler(layout.rsus, model)
     samples: List[RssSample] = []
-    for x in layout.positions():
-        vehicle = layout.vehicle_point(float(x)).as_array()
-        for rsu in rsus:
-            dist = float(np.linalg.norm(vehicle - rsu.position.as_array()))
-            n_int = count_interferers(rsu, rsus)
-            per_rsu = replace(model, ref_rss_dbm=rsu.tx_ref_rss_dbm)
-            rss = sample_rss(per_rsu, dist, n_int, rng)
-            samples.append(
-                RssSample(
-                    x_m=float(x),
-                    rsu_id=rsu.id,
-                    rss_dbm=rss,
-                    true_distance_m=dist,
-                )
-            )
+    for x in layout.positions().tolist():
+        dist, rss = sampler.sample(layout.vehicle_point(x), rng)
+        samples.extend(
+            RssSample(x_m=x, rsu_id=rsu.id, rss_dbm=r, true_distance_m=d)
+            for rsu, d, r in zip(sampler.rsus, dist, rss)
+        )
     return SurveyDataset(layout=layout, samples=samples, seed=seed)
 
 

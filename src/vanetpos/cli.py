@@ -5,7 +5,7 @@ quartic for one RSU), `sweep` (network model-selection table), and `drive`
 (simulated run along the road with DGPS outages and an error summary).
 Every command is deterministic given (config, seed) and writes byte-stable
 output. Exit codes: 0 ok, 1 usage, 2 data/config error, 3 insufficient
-data/anchors.
+data/anchors or no converged fix.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from . import nn
 from .errors import (
     ConfigError,
     InsufficientAnchors,
+    NoConvergence,
     NoCoverage,
     RankDeficient,
     TooFewSamples,
@@ -164,13 +166,16 @@ def _value(kind, value, where: str, default=MISSING):
     """Check one config value against the annotation `kind` and convert it.
 
     A scalar must be exactly its JSON type (a float field also takes an
-    int, stored as a float). An RSU is built from its flat entry, any other
-    dataclass from a nested object (absent keys keep the values of the
-    field's default, if it has one), and a list or tuple from a JSON list.
+    int, stored as a float) and a float must be finite. An RSU is built
+    from its flat entry, any other dataclass from a nested object (absent
+    keys keep the values of the field's default, if it has one), and a list
+    or tuple from a JSON list.
     """
     if kind in _JSON_TYPES:
         if type(value) not in _JSON_TYPES[kind]:
             raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         return kind(value)
     if kind is ch.Rsu:
         return _build(_RsuEntry, value, where).rsu()
@@ -238,18 +243,21 @@ def calibrate_polynomial(
 ) -> Tuple[PolynomialRangeEstimator, Dict[str, float]]:
     """Fit one quartic per RSU from a fresh calibration survey."""
     survey = ch.generate_survey(layout, model, seed=seed)
+    samples: Dict[str, List[ch.RssSample]] = {r: [] for r in survey.rsu_ids()}
+    for s in survey.samples:
+        samples[s.rsu_id].append(s)
     by_rsu: Dict[str, CalibratedPoly] = {}
     rmse: Dict[str, float] = {}
-    for rsu in sorted(layout.rsus, key=lambda r: r.id):
-        kept = filter_near_field(survey.for_rsu(rsu.id), cutoff_m)
+    for rsu_id, mine in samples.items():
+        kept = filter_near_field(mine, cutoff_m)
         poly, report = fit_poly4(kept)
-        by_rsu[rsu.id] = CalibratedPoly(
+        by_rsu[rsu_id] = CalibratedPoly(
             poly=poly,
             rss_min_dbm=kept.rss_min,
             rss_max_dbm=kept.rss_max,
             rmse_m=report.rmse,
         )
-        rmse[rsu.id] = report.rmse
+        rmse[rsu_id] = report.rmse
     return PolynomialRangeEstimator(by_rsu=by_rsu), rmse
 
 
@@ -401,7 +409,9 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
 
     # beacon noise draws from a stream independent of the calibration survey
     rng = np.random.default_rng([run_seed, 1])
-    rsus = sorted(config.layout.rsus, key=lambda r: r.id)
+    sampler = ch.RssSampler(config.layout.rsus, config.channel)
+    # below the receiver sensitivity a beacon is lost
+    heard_dbm = config.channel.rss_floor_dbm + 1e-9
 
     lines = [TRACE_CSV_HEADER]
     all_errors: List[float] = []
@@ -418,21 +428,12 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
             dgps_corrections=sats_ok,
             dgps_position=truth_global if sats_ok else None,
         )
-
-        beacons = []
-        for rsu in rsus:
-            dist = float(
-                np.linalg.norm(
-                    truth_local.as_array() - rsu.position.as_array()
-                )
-            )
-            per_rsu = replace(config.channel, ref_rss_dbm=rsu.tx_ref_rss_dbm)
-            rss = ch.sample_rss(
-                per_rsu, dist, ch.count_interferers(rsu, rsus), rng
-            )
-            if rss <= config.channel.rss_floor_dbm + 1e-9:
-                continue  # beacon lost below receiver sensitivity
-            beacons.append(Beacon(rsu=rsu, rss_dbm=rss))
+        _, rss = sampler.sample(truth_local, rng)
+        beacons = [
+            Beacon(rsu=rsu, rss_dbm=r)
+            for rsu, r in zip(sampler.rsus, rss)
+            if r > heard_dbm
+        ]
 
         try:
             fix = locate(
@@ -534,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TooFewSamples, InsufficientAnchors, NoCoverage) as e:
+    except (TooFewSamples, InsufficientAnchors, NoCoverage, NoConvergence) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except VanetPosError as e:

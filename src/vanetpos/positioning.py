@@ -227,13 +227,14 @@ def _locate_polynomial(
     }
     # deprioritize anchors inside the near-field chaos zone or outside
     # their calibrated RSS domain; use them only to reach the minimum count
-    good = [
-        b
-        for b in usable
-        if not estimates[b.rsu.id][1]
-        and estimates[b.rsu.id][0] >= policy.near_field_m
-    ]
-    bad = [b for b in usable if b not in good]
+    good: List[Beacon] = []
+    bad: List[Beacon] = []
+    for b in usable:
+        range_m, clamped = estimates[b.rsu.id]
+        if not clamped and range_m >= policy.near_field_m:
+            good.append(b)
+        else:
+            bad.append(b)
 
     degraded = False
     if policy.require_distinct_channels:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vanetpos.channel import (
     ChannelModel,
     Rsu,
+    RssSampler,
     SurveyLayout,
     channels_overlap,
     count_interferers,
@@ -178,6 +181,59 @@ class TestGenerateSurvey:
             return np.var(resid, ddof=1)
 
         assert residual_var(dirty) > 4.0 * residual_var(clean)
+
+
+def per_cell_draws(rsus, model, point, rng):
+    """The one-RSU-at-a-time sampling loop, kept as the sampler's oracle."""
+    ordered = sorted(rsus, key=lambda r: r.id)
+    dist, rss = [], []
+    for rsu in ordered:
+        d = float(np.linalg.norm(point.as_array() - rsu.position.as_array()))
+        per_rsu = replace(model, ref_rss_dbm=rsu.tx_ref_rss_dbm)
+        dist.append(d)
+        rss.append(sample_rss(per_rsu, d, count_interferers(rsu, ordered), rng))
+    return dist, rss
+
+
+class TestRssSampler:
+    # ids out of x order; heights and lateral offsets differ; "r2" on
+    # channel 13 overlaps no other RSU, so with far_sigma_db 0 its cells
+    # beyond the near field have sigma 0 and consume no draw
+    MODEL = ChannelModel(
+        far_sigma_db=0.0,
+        near_sigma_db=3.0,
+        near_field_m=40.0,
+        interference_sigma_db=2.5,
+        rss_floor_dbm=-110.0,
+    )
+    RSUS = [
+        Rsu("r3", LocalPoint(0.0, 0.0, 1.1), 1, tx_ref_rss_dbm=-40.0),
+        Rsu("r1", LocalPoint(30.0, -4.5, 2.0), 3, tx_ref_rss_dbm=-35.0),
+        Rsu("r2", LocalPoint(90.0, 3.0, 0.5), 13, tx_ref_rss_dbm=-38.0),
+        Rsu("r0", LocalPoint(160.0, 1.0, 6.0), 5, tx_ref_rss_dbm=-42.0),
+    ]
+
+    def test_bit_identical_to_per_cell_draws(self):
+        sampler = RssSampler(self.RSUS, self.MODEL)
+        assert [r.id for r in sampler.rsus] == ["r0", "r1", "r2", "r3"]
+        assert count_interferers(self.RSUS[2], self.RSUS) == 0
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        r2_model = replace(self.MODEL, ref_rss_dbm=-38.0)
+        silent = 0
+        for x in np.linspace(-30.0, 230.0, 131).tolist():
+            point = LocalPoint(x, 7.0 + 0.01 * x, 1.1 + 0.002 * x)
+            dist, rss = sampler.sample(point, fast)
+            ref_dist, ref_rss = per_cell_draws(self.RSUS, self.MODEL, point, slow)
+            assert dist == ref_dist
+            assert rss == ref_rss
+            silent += rss[2] == expected_rss(r2_model, dist[2])
+        assert silent > 50  # sigma-0 cells were exercised
+        assert fast.standard_normal() == slow.standard_normal()
+
+    def test_below_reference_distance_rejected(self):
+        sampler = RssSampler(self.RSUS, self.MODEL)
+        with pytest.raises(BelowReferenceDistance):
+            sampler.sample(LocalPoint(30.0, -4.5, 2.5), np.random.default_rng(0))
 
 
 class TestSurveyCsv:

@@ -106,13 +106,14 @@ class TestSurveyCommand:
             (("scenario", "policy"), "require_distinct_channels", "false",
              "require_distinct_channels"),
             (("layout", "rsus", 0), "beacon_interval_ms", 100.0, "beacon_interval_ms"),
+            (("channel",), "far_sigma_db", float("nan"), "far_sigma_db"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
             "channel-not-object", "scenario-not-object", "estimator-not-object",
             "rsus-not-list", "duplicate-rsu-id", "rsus-20m-apart", "zero-hidden",
             "zero-patience", "fractional-hidden", "string-bool",
-            "removed-beacon-interval",
+            "removed-beacon-interval", "nan-sigma",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -261,6 +262,26 @@ class TestSweepCommand:
         assert code == 2
 
 
+def corridor_config(n_rsus, channel_seed, min_rsu_count=2):
+    """drive.json's channel and policy along a row of RSUs 150 m apart.
+
+    Channels cycle 1/7/13; the DGPS outage leaves 300 m of coverage at
+    each end of the road.
+    """
+    cfg = json.loads((CONFIGS / "drive.json").read_text())
+    cfg["layout"]["rsus"] = [
+        {"id": f"ap{150 * i}", "x_m": 150.0 * i, "channel": (1, 7, 13)[i % 3],
+         "tx_ref_rss_dbm": -35.0}
+        for i in range(n_rsus)
+    ]
+    end_m = 150.0 * (n_rsus - 1)
+    cfg["layout"]["end_m"] = end_m
+    cfg["scenario"]["seed"] = channel_seed
+    cfg["scenario"]["gps_outages"] = [[300.0, end_m - 300.0]]
+    cfg["scenario"]["policy"]["min_rsu_count"] = min_rsu_count
+    return cfg
+
+
 class TestDriveCommand:
     def test_trace_schema_and_sources(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -305,6 +326,30 @@ class TestDriveCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "9501ef043c0cadd450f6b89ab800f7b78df2a6c779e9f4184cd7573a845a52f7"
         )
+
+    def test_corridor_trace_bytes_pinned(self, tmp_path, capsys):
+        # 11 RSUs, each fix fused from RSU pairs: the n > 3 beacon path
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor_config(11, channel_seed=0)))
+        out = tmp_path / "trace.csv"
+        code, _, _ = run(["drive", "--config", path, "--out", out], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4f7e6101492ecc3c8b580acd230d6cd2d615a2bc34726cc8675cbf674a48f536"
+        )
+
+    def test_no_converged_fix_exit_3_one_line(self, tmp_path, capsys):
+        # at channel seed 30 one pair of ghost-beacon range circles leaves
+        # multilateration without a converged fix
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor_config(41, channel_seed=30)))
+        code, _, err = run(
+            ["drive", "--config", path, "--out", tmp_path / "x.csv"], capsys
+        )
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "converge" in lines[0]
 
     def test_summary_matches_independent_recomputation(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
