@@ -174,9 +174,13 @@ def _value(kind, value, where: str, default=MISSING):
     if kind in _JSON_TYPES:
         if type(value) not in _JSON_TYPES[kind]:
             raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
-        if kind is float and not math.isfinite(value):
+        try:
+            converted = kind(value)
+        except OverflowError:  # an int beyond the float range
+            converted = math.inf
+        if kind is float and not math.isfinite(converted):
             raise ConfigError(f"{where} must be finite, got {value!r}")
-        return kind(value)
+        return converted
     if kind is ch.Rsu:
         return _build(_RsuEntry, value, where).rsu()
     if is_dataclass(kind):
@@ -204,7 +208,7 @@ def load_scenario(path: str) -> ScenarioConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as e:
         raise ConfigError(f"config not found: {path}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int past str limits
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     try:
         config = _parse_scenario(raw)

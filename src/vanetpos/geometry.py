@@ -125,27 +125,21 @@ def _anchor_matrix(ranges: Sequence[AnchorRange]) -> np.ndarray:
     return np.array([r.anchor.as_array() for r in ranges], dtype=float)
 
 
-def _collinear_xy(anchors: np.ndarray) -> bool:
-    """True when the anchors lie on one (x, y) line (always true for two)."""
-    if len(anchors) <= 2:
-        return True
+def _line_direction_xy(anchors: np.ndarray) -> Optional[np.ndarray]:
+    """Unit direction of the anchors' (x, y) line; None if they are not on
+    one line (two anchors always are)."""
     centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    return bool(s[1] <= _GEOM_TOL * max(s[0], 1.0))
+    _, s, vt = np.linalg.svd(centered)
+    if len(anchors) > 2 and s[1] > _GEOM_TOL * max(s[0], 1.0):
+        return None
+    return vt[0] / np.linalg.norm(vt[0])
 
 
-def _line_direction_xy(anchors: np.ndarray) -> np.ndarray:
-    """Unit direction of the anchor line projected into the (x, y) plane."""
-    centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
-    _, _, vt = np.linalg.svd(centered)
-    d = vt[0]
-    return d / np.linalg.norm(d)
-
-
-def _reflect_across_line_2d(p: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Mirror a point across the anchor line, within the solve plane (x, y)."""
+def _reflect_across_line_2d(
+    p: np.ndarray, anchors: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Mirror a point across the anchor line of direction d, within (x, y)."""
     base = anchors[:, :2].mean(axis=0)
-    d = _line_direction_xy(anchors)
     rel = p[:2] - base
     along = rel.dot(d) * d
     mirrored = base + along - (rel - along)
@@ -277,31 +271,28 @@ def multilaterate(
         raise DegenerateGeometry("anchors coincident in the 2D solve plane")
 
     z = hint.z_m if hint is not None else 0.0
-    collinear = _collinear_xy(anchors)
+    d = _line_direction_xy(anchors)
+    normal = None if d is None else np.array([-d[1], d[0]])
     if hint is not None:
         start = np.array([hint.x_m, hint.y_m, z])
-        if collinear:
+        if normal is not None:
             # a start on the anchor line never leaves it; nudge off
-            d = _line_direction_xy(anchors)
-            normal = np.array([-d[1], d[0]])
             rel = start[:2] - anchors[:, :2].mean(axis=0)
             if abs(rel.dot(normal)) < 1e-6:
                 start[:2] += normal
     else:
         start = _linear_init(anchors, rng_m, z)
-        if collinear:
+        if normal is not None:
             # the linearized solve lands on the anchor line; push off on
             # the +y side so the road-side convention holds
-            d = _line_direction_xy(anchors)
-            normal = np.array([-d[1], d[0]])
             if normal[1] < 0:
                 normal = -normal
             start[:2] += normal
 
     p = _gauss_newton(start, anchors, rng_m)
 
-    if collinear:
-        mirror = _reflect_across_line_2d(p, anchors)
+    if d is not None:
+        mirror = _reflect_across_line_2d(p, anchors, d)
         if hint is not None:
             h = np.array([hint.x_m, hint.y_m, z])
             if np.linalg.norm(mirror - h) < np.linalg.norm(p - h):

@@ -80,40 +80,37 @@ def regression_metrics(
     )
 
 
+def _check_dof(n: int, k: int) -> None:
+    if n <= k:
+        raise TooFewSamples(f"need n > k, got n={n}, k={k}")
+
+
 def goodness_of_fit(
     actual: Sequence[float], predicted: Sequence[float], k: int
 ) -> FitReport:
     """SSE, R-squared, adjusted R-squared and RMSE of a k-coefficient fit."""
     a, p = _paired_arrays(actual, predicted)
     n = len(a)
-    if n <= k:
-        raise TooFewSamples(f"need n > k, got n={n}, k={k}")
+    _check_dof(n, k)
     sse = float(np.sum((a - p) ** 2))
     sst = float(np.sum((a - a.mean()) ** 2))
     if sst == 0.0:
         raise ZeroTotalVariance("R-squared undefined for a constant response")
-    r_square = 1.0 - sse / sst
-    return FitReport(
-        sse=sse,
-        r_square=r_square,
-        adj_r_square=adjusted_r_square(r_square, n, k),
-        rmse=math.sqrt(sse / (n - k)),
-        n=n,
-        k=k,
-    )
+    return fit_report_from_summary(sse, 1.0 - sse / sst, n, k)
 
 
 def adjusted_r_square(r_square: float, n: int, k: int) -> float:
     """Degrees-of-freedom-adjusted R-squared."""
-    if n <= k:
-        raise TooFewSamples(f"need n > k, got n={n}, k={k}")
+    _check_dof(n, k)
     return 1.0 - (1.0 - r_square) * (n - 1) / (n - k)
 
 
 def fit_report_from_summary(sse: float, r_square: float, n: int, k: int) -> FitReport:
-    """Rebuild a FitReport from published summary numbers (SSE, R-squared)."""
-    if n <= k:
-        raise TooFewSamples(f"need n > k, got n={n}, k={k}")
+    """Rebuild a FitReport from summary numbers (SSE, R-squared).
+
+    The one place a FitReport's adjusted R-squared and its n-k RMSE are
+    computed; `goodness_of_fit` builds its report here too.
+    """
     return FitReport(
         sse=sse,
         r_square=r_square,

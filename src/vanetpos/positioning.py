@@ -150,35 +150,37 @@ def _sorted_weakest_first(beacons: Sequence[Beacon]) -> List[Beacon]:
     return sorted(beacons, key=lambda b: (b.rss_dbm, b.rsu.id))
 
 
-def _greedy_distinct(beacons: Sequence[Beacon]) -> List[Beacon]:
-    """Weakest-first greedy subset with mutually non-overlapping channels."""
-    picked: List[Beacon] = []
-    for b in _sorted_weakest_first(beacons):
-        if all(not channels_overlap(b.rsu.channel, p.rsu.channel) for p in picked):
-            picked.append(b)
-    return picked
-
-
 def select_rsus(
-    beacons: Sequence[Beacon], policy: SelectionPolicy, needed: int
+    good: Sequence[Beacon], bad: Sequence[Beacon], policy: SelectionPolicy
 ) -> Tuple[List[Beacon], bool]:
-    """Pick `needed` RSUs, farthest (weakest RSS) first on distinct channels.
+    """Pick the anchors of one fix, farthest (weakest RSS) first.
 
-    Returns the selection and a degraded flag: when the channel-distinct
-    greedy pass cannot reach `needed`, selection falls back to plain
-    weakest-RSS order and the flag is set so callers can derate the fix.
+    `bad` beacons (near field or clamped) only make up a shortfall of
+    `good` ones. Returns the selection and a degraded flag. Not degraded:
+    every good beacon the weakest-first greedy pass keeps on mutually
+    non-overlapping channels (all of them if the channel rule is off), when
+    that reaches `min_rsu_count`. Else, degraded: the `min_rsu_count`
+    weakest good beacons, or, with too few good ones, `good` in heard order
+    topped up with the weakest bad ones.
     """
-    if len(beacons) < needed:
+    needed = policy.min_rsu_count
+    if len(good) + len(bad) < needed:
         raise InsufficientAnchors(
-            f"heard {len(beacons)} RSUs, need {needed}"
+            f"{len(good) + len(bad)} calibrated RSUs heard, need {needed}"
         )
-    ordered = _sorted_weakest_first(beacons)
-    if not policy.require_distinct_channels:
-        return ordered[:needed], False
-    distinct = _greedy_distinct(beacons)
-    if len(distinct) >= needed:
-        return distinct[:needed], False
-    return ordered[:needed], True
+    ordered = _sorted_weakest_first(good)
+    picked = ordered
+    if policy.require_distinct_channels:
+        picked = []
+        for b in ordered:
+            if all(not channels_overlap(b.rsu.channel, p.rsu.channel) for p in picked):
+                picked.append(b)
+    if len(picked) >= needed:
+        return picked, False
+    if len(good) >= needed:
+        return ordered[:needed], True
+    # anchor order changes multilaterate's rounding: keep good as heard
+    return list(good) + _sorted_weakest_first(bad)[: needed - len(good)], True
 
 
 def rss_to_range(cal: CalibratedPoly, rss_dbm: float) -> Tuple[float, bool]:
@@ -216,11 +218,6 @@ def _locate_polynomial(
     hint: Optional[LocalPoint],
 ) -> Tuple[LocalPoint, Tuple[str, ...], float]:
     usable = [b for b in beacons if b.rsu.id in estimator.by_rsu]
-    if len(usable) < policy.min_rsu_count:
-        raise InsufficientAnchors(
-            f"{len(usable)} calibrated RSUs heard, need {policy.min_rsu_count}"
-        )
-
     estimates = {
         b.rsu.id: rss_to_range(estimator.by_rsu[b.rsu.id], b.rss_dbm)
         for b in usable
@@ -235,20 +232,7 @@ def _locate_polynomial(
             good.append(b)
         else:
             bad.append(b)
-
-    degraded = False
-    if policy.require_distinct_channels:
-        n_usable = len(_greedy_distinct(good))
-    else:
-        n_usable = len(good)
-    if n_usable >= policy.min_rsu_count:
-        selected, degraded = select_rsus(good, policy, n_usable)
-    elif len(good) >= policy.min_rsu_count:
-        selected, degraded = select_rsus(good, policy, policy.min_rsu_count)
-    else:
-        shortfall = policy.min_rsu_count - len(good)
-        selected = list(good) + _sorted_weakest_first(bad)[:shortfall]
-        degraded = True
+    selected, degraded = select_rsus(good, bad, policy)
 
     ranges = [
         AnchorRange(anchor=b.rsu.position, range_m=estimates[b.rsu.id][0])
@@ -311,9 +295,15 @@ def locate(
     """Produce one position fix from the current GPS state and beacons.
 
     DGPS wins whenever satellites and corrections are both available;
-    otherwise the RSS path selects RSUs per the policy and applies the
-    estimator. Quality is the estimator's calibration RMSE, doubled when a
-    domain clamp or the channel fallback degraded the fix.
+    otherwise the RSS path selects RSUs per the policy (`select_rsus`) and
+    applies the estimator. Quality is the estimator's calibration RMSE,
+    doubled when the fix is degraded:
+
+    - polynomial: a selected RSU's RSS was clamped to its calibration
+      domain or its range to 0 m; or `select_rsus` fell back, because too
+      few good RSUs are on mutually non-overlapping channels or too few
+      are good at all (near-field or clamped RSUs then make up the count)
+    - nn: the estimate was clamped to the calibrated segment
     """
     if gps.satellites_ok and gps.dgps_corrections:
         return PositionFix(

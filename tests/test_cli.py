@@ -107,13 +107,14 @@ class TestSurveyCommand:
              "require_distinct_channels"),
             (("layout", "rsus", 0), "beacon_interval_ms", 100.0, "beacon_interval_ms"),
             (("channel",), "far_sigma_db", float("nan"), "far_sigma_db"),
+            (("channel",), "far_sigma_db", 10**400, "far_sigma_db"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
             "channel-not-object", "scenario-not-object", "estimator-not-object",
             "rsus-not-list", "duplicate-rsu-id", "rsus-20m-apart", "zero-hidden",
             "zero-patience", "fractional-hidden", "string-bool",
-            "removed-beacon-interval", "nan-sigma",
+            "removed-beacon-interval", "nan-sigma", "huge-int-sigma",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -133,6 +134,19 @@ class TestSurveyCommand:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert named in lines[0]
+
+    def test_int_past_str_digit_limit_exit_2_one_line(self, tmp_path, capsys):
+        # json refuses to parse an int literal of more than 4,300 digits
+        text = (CONFIGS / "drive.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"far_sigma_db": 0.2', '"far_sigma_db": 1' + "0" * 4999))
+        assert bad.read_text() != text
+        code, _, err = run(
+            ["survey", "--config", bad, "--out", tmp_path / "x.csv"], capsys
+        )
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,16 +276,16 @@ class TestSweepCommand:
         assert code == 2
 
 
-def corridor_config(n_rsus, channel_seed, min_rsu_count=2):
+def corridor_config(n_rsus, channel_seed, min_rsu_count=2, channels=(1, 7, 13)):
     """drive.json's channel and policy along a row of RSUs 150 m apart.
 
-    Channels cycle 1/7/13; the DGPS outage leaves 300 m of coverage at
-    each end of the road.
+    Channels cycle through `channels`; the DGPS outage leaves 300 m of
+    coverage at each end of the road.
     """
     cfg = json.loads((CONFIGS / "drive.json").read_text())
     cfg["layout"]["rsus"] = [
-        {"id": f"ap{150 * i}", "x_m": 150.0 * i, "channel": (1, 7, 13)[i % 3],
-         "tx_ref_rss_dbm": -35.0}
+        {"id": f"ap{150 * i}", "x_m": 150.0 * i,
+         "channel": channels[i % len(channels)], "tx_ref_rss_dbm": -35.0}
         for i in range(n_rsus)
     ]
     end_m = 150.0 * (n_rsus - 1)
@@ -328,15 +342,24 @@ class TestDriveCommand:
         )
 
     def test_corridor_trace_bytes_pinned(self, tmp_path, capsys):
-        # 11 RSUs, each fix fused from RSU pairs: the n > 3 beacon path
-        path = tmp_path / "corridor.json"
-        path.write_text(json.dumps(corridor_config(11, channel_seed=0)))
-        out = tmp_path / "trace.csv"
-        code, _, _ = run(["drive", "--config", path, "--out", out], capsys)
-        assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4f7e6101492ecc3c8b580acd230d6cd2d615a2bc34726cc8675cbf674a48f536"
-        )
+        # 11 RSUs at channel seed 0
+        rows = [
+            # each fix fused from RSU pairs: the n > 3 beacon path
+            ((1, 7, 13),
+             "4f7e6101492ecc3c8b580acd230d6cd2d615a2bc34726cc8675cbf674a48f536"),
+            # every RSS fix takes the degraded colliding-channel selection
+            ((6,),
+             "fb2e3bcb450e807b86abb8ef9b50b6fbcabe087e43d72a8a080a61299c80deaf"),
+        ]
+        for channels, digest in rows:
+            path = tmp_path / "corridor.json"
+            path.write_text(
+                json.dumps(corridor_config(11, channel_seed=0, channels=channels))
+            )
+            out = tmp_path / "trace.csv"
+            code, _, _ = run(["drive", "--config", path, "--out", out], capsys)
+            assert code == 0, channels
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, channels
 
     def test_no_converged_fix_exit_3_one_line(self, tmp_path, capsys):
         # at channel seed 30 one pair of ghost-beacon range circles leaves

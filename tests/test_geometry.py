@@ -125,6 +125,18 @@ class TestMultilaterate:
         assert abs(p.x_m - 55.0) < 1e-6
         assert abs(p.y_m - 7.0) < 1e-6
 
+    def test_hint_on_anchor_line_is_nudged_off(self):
+        # a start on the anchor line never leaves it without the nudge
+        truth = np.array([55.0, 7.0, 0.0])
+        anchors = [(0.0, 0.0, 0.0), (100.0, 0.0, 0.0), (200.0, 0.0, 0.0)]
+        ranges = [
+            AnchorRange(LocalPoint(*a), float(np.linalg.norm(truth - np.array(a))))
+            for a in anchors
+        ]
+        p = multilaterate(ranges, hint=LocalPoint(50.0, 0.0, 0.0))
+        assert abs(p.x_m - 55.0) < 1e-6
+        assert abs(abs(p.y_m) - 7.0) < 1e-6
+
     def test_single_anchor_rejected(self):
         with pytest.raises(InsufficientAnchors):
             multilaterate([AnchorRange(LocalPoint(0, 0, 0), 5.0)])

@@ -54,9 +54,10 @@ class TestSelectRsus:
             beacon("a", 0.0, 1, -50.0),
             beacon("b", 100.0, 7, -70.0),
             beacon("c", 200.0, 13, -85.0),
+            beacon("d", 300.0, 2, -60.0),  # overlaps a; weaker, so it wins
         ]
-        selected, degraded = select_rsus(beacons, SelectionPolicy(), needed=2)
-        assert [b.rss_dbm for b in selected] == [-85.0, -70.0]
+        selected, degraded = select_rsus(beacons, [], SelectionPolicy())
+        assert [b.rsu.id for b in selected] == ["c", "b", "d"]
         assert degraded is False
 
     def test_channel_conflict_skips_to_clean_channel(self):
@@ -65,22 +66,24 @@ class TestSelectRsus:
             beacon("b", 100.0, 6, -60.0),
             beacon("c", 200.0, 11, -50.0),
         ]
-        selected, degraded = select_rsus(beacons, SelectionPolicy(), needed=2)
-        ids = {b.rsu.id for b in selected}
-        assert ids == {"a", "c"}  # weaker of the channel-6 pair plus channel 11
+        selected, degraded = select_rsus(beacons, [], SelectionPolicy())
+        # the weaker of the channel-6 pair plus channel 11
+        assert [b.rsu.id for b in selected] == ["a", "c"]
         assert degraded is False
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientAnchors):
-            select_rsus([beacon("a", 0.0, 1, -60.0)], SelectionPolicy(), needed=2)
+        with pytest.raises(InsufficientAnchors, match="1 calibrated RSUs heard, need 2"):
+            select_rsus([beacon("a", 0.0, 1, -60.0)], [], SelectionPolicy())
 
     def test_fallback_when_channels_collide(self):
         beacons = [
-            beacon("a", 0.0, 6, -75.0),
             beacon("b", 100.0, 6, -60.0),
+            beacon("a", 0.0, 6, -75.0),
+            beacon("c", 200.0, 6, -50.0),
         ]
-        selected, degraded = select_rsus(beacons, SelectionPolicy(), needed=2)
-        assert {b.rsu.id for b in selected} == {"a", "b"}
+        selected, degraded = select_rsus(beacons, [], SelectionPolicy())
+        # the two weakest, weakest first
+        assert [b.rsu.id for b in selected] == ["a", "b"]
         assert degraded is True
 
     def test_order_independence(self):
@@ -88,19 +91,42 @@ class TestSelectRsus:
             beacon("a", 0.0, 1, -50.0),
             beacon("b", 100.0, 7, -70.0),
             beacon("c", 200.0, 13, -85.0),
+            beacon("d", 300.0, 2, -60.0),
         ]
-        a, _ = select_rsus(beacons, SelectionPolicy(), needed=2)
-        b, _ = select_rsus(list(reversed(beacons)), SelectionPolicy(), needed=2)
+        a, _ = select_rsus(beacons, [], SelectionPolicy())
+        b, _ = select_rsus(list(reversed(beacons)), [], SelectionPolicy())
         assert [x.rsu.id for x in a] == [x.rsu.id for x in b]
 
     def test_rss_tie_breaks_on_id(self):
         beacons = [
-            beacon("b", 100.0, 7, -70.0),
+            beacon("b", 100.0, 1, -70.0),
             beacon("a", 0.0, 1, -70.0),
             beacon("c", 200.0, 13, -50.0),
         ]
-        selected, _ = select_rsus(beacons, SelectionPolicy(), needed=2)
-        assert [x.rsu.id for x in selected] == ["a", "b"]
+        selected, _ = select_rsus(beacons, [], SelectionPolicy())
+        assert [x.rsu.id for x in selected] == ["a", "c"]
+
+    def test_waived_channel_rule_picks_every_good_beacon(self):
+        beacons = [
+            beacon("b", 100.0, 6, -60.0),
+            beacon("a", 0.0, 6, -75.0),
+            beacon("c", 200.0, 6, -50.0),
+        ]
+        policy = SelectionPolicy(require_distinct_channels=False)
+        selected, degraded = select_rsus(beacons, [beacon("d", 300.0, 1, -90.0)], policy)
+        assert [b.rsu.id for b in selected] == ["a", "b", "c"]
+        assert degraded is False
+
+    def test_top_up_keeps_good_in_heard_order_then_weakest_bad(self):
+        good = [beacon("x", 0.0, 1, -60.0), beacon("y", 100.0, 7, -80.0)]
+        bad = [
+            beacon("p", 200.0, 13, -50.0),
+            beacon("q", 300.0, 1, -90.0),
+            beacon("r", 400.0, 7, -70.0),
+        ]
+        selected, degraded = select_rsus(good, bad, SelectionPolicy(min_rsu_count=4))
+        assert [b.rsu.id for b in selected] == ["x", "y", "q", "r"]
+        assert degraded is True
 
 
 class TestRssToRange:
