@@ -425,12 +425,11 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
     for step, x in enumerate(config.layout.positions()):
         x = float(x)
         truth_local = config.layout.vehicle_point(x)
-        truth_global = to_global(truth_local, config.origin)
         sats_ok = not _in_outage(x, config.gps_outages)
         gps = GpsStatus(
             satellites_ok=sats_ok,
             dgps_corrections=sats_ok,
-            dgps_position=truth_global if sats_ok else None,
+            dgps_position=to_global(truth_local, config.origin) if sats_ok else None,
         )
         _, rss = sampler.sample(truth_local, rng)
         beacons = [

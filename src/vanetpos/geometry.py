@@ -77,8 +77,8 @@ class AnchorRange:
     range_m: float
 
     def __post_init__(self) -> None:
-        if self.range_m < 0.0:
-            raise ValueError(f"range_m must be >= 0, got {self.range_m}")
+        if not (math.isfinite(self.range_m) and self.range_m >= 0.0):
+            raise ValueError(f"range_m must be finite and >= 0, got {self.range_m}")
 
 
 def _check_latitudes(*positions: GlobalPosition) -> None:
@@ -146,11 +146,6 @@ def _reflect_across_line_2d(
     return np.array([mirrored[0], mirrored[1], p[2]])
 
 
-def _objective(p: np.ndarray, anchors: np.ndarray, rng_m: np.ndarray) -> float:
-    dists = np.linalg.norm(anchors - p, axis=1)
-    return float(np.sum((dists - rng_m) ** 2))
-
-
 def _linear_init(
     anchors: np.ndarray, rng_m: np.ndarray, z_fixed: float
 ) -> np.ndarray:
@@ -192,54 +187,58 @@ def _gauss_newton(
     valley that appears when noisy ranges leave the circles disjoint and
     the minimum sits on the anchor line. Converges on step norm, on
     objective stagnation, or when no damped step can improve (numerically
-    stationary). Raises NoConvergence only if none of those trigger.
+    stationary). Raises NoConvergence only if none of those trigger. Runs on
+    scalar floats with a closed-form 2x2 solve (the damped determinant is at
+    least lam * trace > 0), so it is not bitwise equal to numpy's LAPACK path.
     """
-    p = start.astype(float).copy()
+    px, py, z = map(float, start)
+    terms = [
+        (ax, ay, (z - az) * (z - az), r)
+        for (ax, ay, az), r in zip(anchors.tolist(), rng_m.tolist())
+    ]
     lam = 1e-3
-    prev_obj = _objective(p, anchors, rng_m)
     stagnant = 0
     for _ in range(_GN_MAX_ITERS):
-        diffs = p - anchors
-        dists = np.linalg.norm(diffs, axis=1)
-        dists = np.maximum(dists, 1e-12)
-        residuals = dists - rng_m
-        jac = (diffs / dists[:, None])[:, _XY]
-        normal = jac.T @ jac
-        grad = jac.T @ residuals
-
-        trial = p
-        obj = prev_obj
-        improved = False
+        prev_obj = n00 = n01 = n11 = g0 = g1 = 0.0
+        for ax, ay, dz2, r in terms:
+            dx, dy = px - ax, py - ay
+            dist = max(math.sqrt(dx * dx + dy * dy + dz2), 1e-12)
+            res = dist - r
+            prev_obj += res * res
+            jx, jy = dx / dist, dy / dist
+            n00 += jx * jx
+            n01 += jx * jy
+            n11 += jy * jy
+            g0 += jx * res
+            g1 += jy * res
         for _ in range(40):
-            try:
-                step = np.linalg.solve(normal + lam * np.eye(2), -grad)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(
-                    normal + lam * np.eye(2), -grad, rcond=None
-                )
-            trial = p.copy()
-            trial[_XY] += step
-            obj = _objective(trial, anchors, rng_m)
-            if np.isfinite(obj) and obj <= prev_obj + 1e-18:
-                improved = True
-                break
+            a00, a11 = n00 + lam, n11 + lam
+            det = a00 * a11 - n01 * n01
+            if 0.0 < det < math.inf:
+                sx = (n01 * g1 - a11 * g0) / det
+                sy = (n01 * g0 - a00 * g1) / det
+                obj = 0.0
+                for ax, ay, dz2, r in terms:
+                    dx, dy = px + sx - ax, py + sy - ay
+                    res = math.sqrt(dx * dx + dy * dy + dz2) - r
+                    obj += res * res
+                if math.isfinite(obj) and obj <= prev_obj + 1e-18:
+                    break
             lam *= 10.0
-        if not improved:
-            return p  # no damped step improves: numerically stationary
-        p = trial
-        lam = max(lam * 0.3, 1e-12)
-        if np.linalg.norm(step) < _GN_STEP_TOL:
-            return p
-        if prev_obj - obj <= 1e-15 * (1.0 + prev_obj):
-            stagnant += 1
-            if stagnant >= 3:
-                return p
         else:
-            stagnant = 0
-        prev_obj = obj
-    raise NoConvergence(
-        f"multilateration did not converge in {_GN_MAX_ITERS} iterations"
-    )
+            break  # no damped step improves: numerically stationary
+        px, py = px + sx, py + sy
+        lam = max(lam * 0.3, 1e-12)
+        if math.sqrt(sx * sx + sy * sy) < _GN_STEP_TOL:
+            break
+        stagnant = stagnant + 1 if prev_obj - obj <= 1e-15 * (1.0 + prev_obj) else 0
+        if stagnant >= 3:
+            break
+    else:
+        raise NoConvergence(
+            f"multilateration did not converge in {_GN_MAX_ITERS} iterations"
+        )
+    return np.array([px, py, z])
 
 
 def multilaterate(

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from vanetpos import geometry
 from vanetpos.errors import (
     DegenerateGeometry,
     EmptyInput,
     InsufficientAnchors,
+    NoConvergence,
     PolarRegion,
 )
 from vanetpos.geometry import (
@@ -36,6 +39,67 @@ def brute_force_minimum(anchors, ranges, center, half_width=1.0, step=0.01, z=0.
         obj += (dist - r) ** 2
     idx = np.unravel_index(np.argmin(obj), obj.shape)
     return np.array([gx[idx], gy[idx], z])
+
+
+_XY = np.array([True, True, False])
+
+
+def reference_gauss_newton(start, anchors, rng_m, max_iters=100):
+    """The numpy Gauss-Newton loop the scalar solver replaced.
+
+    Same control flow as `geometry._gauss_newton`, on arrays: matmul normal
+    equations, a LAPACK solve with an lstsq fallback, a numpy objective. The
+    scalar solver rounds differently, so it must agree within a tolerance,
+    not bit for bit.
+    """
+
+    def objective(p):
+        return float(np.sum((np.linalg.norm(anchors - p, axis=1) - rng_m) ** 2))
+
+    p = start.astype(float).copy()
+    lam = 1e-3
+    prev_obj = objective(p)
+    stagnant = 0
+    for _ in range(max_iters):
+        diffs = p - anchors
+        dists = np.maximum(np.linalg.norm(diffs, axis=1), 1e-12)
+        jac = (diffs / dists[:, None])[:, _XY]
+        normal = jac.T @ jac
+        grad = jac.T @ (dists - rng_m)
+        improved = False
+        for _ in range(40):
+            try:
+                step = np.linalg.solve(normal + lam * np.eye(2), -grad)
+            except np.linalg.LinAlgError:
+                step, *_ = np.linalg.lstsq(normal + lam * np.eye(2), -grad, rcond=None)
+            trial = p.copy()
+            trial[_XY] += step
+            obj = objective(trial)
+            if np.isfinite(obj) and obj <= prev_obj + 1e-18:
+                improved = True
+                break
+            lam *= 10.0
+        if not improved:
+            return p
+        p = trial
+        lam = max(lam * 0.3, 1e-12)
+        if np.linalg.norm(step) < 1e-9:
+            return p
+        if prev_obj - obj <= 1e-15 * (1.0 + prev_obj):
+            stagnant += 1
+            if stagnant >= 3:
+                return p
+        else:
+            stagnant = 0
+        prev_obj = obj
+    raise NoConvergence(f"no convergence in {max_iters} iterations")
+
+
+def _solve_or_none(solver, *args):
+    try:
+        return solver(*args)
+    except NoConvergence:
+        return None
 
 
 class TestLocalFrame:
@@ -137,6 +201,12 @@ class TestMultilaterate:
         assert abs(p.x_m - 55.0) < 1e-6
         assert abs(abs(p.y_m) - 7.0) < 1e-6
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_range_rejected(self, bad):
+        # NaN and inf pass a plain `< 0` check; the solve then returned the hint
+        with pytest.raises(ValueError, match="range_m"):
+            AnchorRange(LocalPoint(0.0, 0.0, 1.1), bad)
+
     def test_single_anchor_rejected(self):
         with pytest.raises(InsufficientAnchors):
             multilaterate([AnchorRange(LocalPoint(0, 0, 0), 5.0)])
@@ -191,6 +261,105 @@ class TestMultilaterate:
             ],
         )
         assert np.allclose(moved.as_array() - shift, base.as_array(), atol=1e-6)
+
+
+class TestGaussNewton:
+    def test_matches_numpy_reference_on_random_systems(self, monkeypatch):
+        # 1,280 systems: 2 and 3 anchors, collinear on y = 0 as in the drives
+        # or scattered, noiseless or 5 m range noise, start on either side
+        rng = np.random.default_rng(11)
+        flips = cases = 0
+        for n, collinear, noisy, side in itertools.product(
+            (2, 3), (True, False), (False, True), (1.0, -1.0)
+        ):
+            for _ in range(80):
+                if collinear:
+                    xs = np.sort(rng.uniform(0.0, 300.0, n))
+                    anchors = np.column_stack([xs, np.zeros(n), np.full(n, 1.1)])
+                else:
+                    anchors = np.column_stack(
+                        [rng.uniform(-50.0, 250.0, (n, 2)), rng.choice([0.0, 1.1], n)]
+                    )
+                truth = np.array(
+                    [rng.uniform(0.0, 300.0), rng.uniform(-30.0, 30.0), 1.1]
+                )
+                ranges = np.linalg.norm(anchors - truth, axis=1)
+                if noisy:
+                    ranges = np.maximum(ranges + rng.normal(0.0, 5.0, n), 0.0)
+                start = np.array([
+                    truth[0] + rng.uniform(-20.0, 20.0),
+                    side * rng.uniform(1.0, 20.0),
+                    1.1,
+                ])
+                args = (start, anchors, ranges)
+                ref = _solve_or_none(reference_gauss_newton, *args)
+                new = _solve_or_none(geometry._gauss_newton, *args)
+                if (ref is None) != (new is None):
+                    # a slow solve can end on either side of the iteration
+                    # limit; past it both must reach the same point
+                    flips += 1
+                    monkeypatch.setattr(geometry, "_GN_MAX_ITERS", 200)
+                    ref = reference_gauss_newton(*args, max_iters=200)
+                    new = geometry._gauss_newton(*args)
+                    monkeypatch.undo()
+                cases += 1
+                if ref is None:
+                    continue
+                tol = 1e-4 if noisy else 1e-6
+                assert np.linalg.norm(new - ref) < tol, (args, ref, new)
+                assert new[2] == start[2]
+        assert cases == 1280
+        assert flips <= 3
+
+    def test_step_norm_exit(self):
+        # noiseless: quadratic convergence takes the step below 1e-9 m
+        anchors = np.array([[0.0, 0.0, 0.0], [150.0, 10.0, 0.0], [40.0, 120.0, 0.0]])
+        truth = np.array([60.0, 25.0, 0.0])
+        ranges = np.linalg.norm(anchors - truth, axis=1)
+        start = np.array([80.0, 5.0, 0.0])
+        p = geometry._gauss_newton(start, anchors, ranges)
+        assert np.linalg.norm(p - truth) < 1e-9
+        assert np.linalg.norm(p - reference_gauss_newton(start, anchors, ranges)) < 1e-9
+
+    def test_stagnation_exit(self):
+        # tangent circles: the objective is quartic in y, each step halves y
+        # and the objective stalls long before a step falls below 1e-9 m
+        # (that needs y < 2e-9); the start (y = 1) is not returned either
+        anchors = np.array([[0.0, 0.0, 1.1], [100.0, 0.0, 1.1]])
+        ranges = np.array([50.0, 50.0])
+        start = np.array([50.0, 1.0, 1.1])
+        p = geometry._gauss_newton(start, anchors, ranges)
+        assert abs(p[0] - 50.0) < 1e-9
+        assert 1e-6 < p[1] < 1e-2
+        assert np.linalg.norm(p - reference_gauss_newton(start, anchors, ranges)) < 1e-6
+
+    def test_no_improving_step_returns_start(self):
+        # squared offsets overflow: no damped step has a finite objective
+        anchors = np.array([[-1e155, 0.0, 0.0], [1e155, 0.0, 0.0]])
+        ranges = np.array([1.0, 1.0])
+        start = np.array([0.0, 1.0, 0.0])
+        p = geometry._gauss_newton(start, anchors, ranges)
+        assert p.tolist() == start.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = reference_gauss_newton(start, anchors, ranges)
+        assert ref.tolist() == start.tolist()
+
+    def test_no_convergence_on_ghost_beacon_pair(self):
+        # the pair solve that ends the 41-RSU pair-policy corridor at channel
+        # seed 30: two ghost-beacon circles some 2.8 km from a hint 1.4 km
+        # off the road
+        ranges = [
+            AnchorRange(LocalPoint(150.0, 0.0, 1.1), 2959.8484868980927),
+            AnchorRange(LocalPoint(300.0, 0.0, 1.1), 2809.7894300364196),
+        ]
+        hint = LocalPoint(2755.894227705645, 1399.98242154462, 1.1000000000000227)
+        with pytest.raises(NoConvergence, match="did not converge in 100 iterations"):
+            multilaterate(ranges, hint=hint)
+        start = hint.as_array()
+        anchors = np.array([r.anchor.as_array() for r in ranges])
+        rng_m = np.array([r.range_m for r in ranges])
+        with pytest.raises(NoConvergence):
+            reference_gauss_newton(start, anchors, rng_m)
 
 
 class TestFuseFixes:
