@@ -102,6 +102,13 @@ class SurveyLayout:
     def vehicle_point(self, x_m: float) -> LocalPoint:
         return LocalPoint(x_m, self.lane_y_m, self.antenna_z_m)
 
+    def track(self) -> np.ndarray:
+        """The (x, lane y, antenna z) vehicle point of every `positions()` step."""
+        x = self.positions()
+        return np.column_stack(
+            (x, np.full_like(x, self.lane_y_m), np.full_like(x, self.antenna_z_m))
+        )
+
 
 @dataclass(frozen=True)
 class RssSample:
@@ -189,13 +196,14 @@ def count_interferers(rsu: Rsu, others: Sequence[Rsu]) -> int:
 
 
 class RssSampler:
-    """Every RSU's RSS draw at one vehicle position, from per-layout constants.
+    """Every RSU's RSS draws along a vehicle track, from per-layout constants.
 
     An RSU's interferer count and noise sigmas depend only on the layout,
-    so they are computed once. Each position's noise comes from one
-    `standard_normal` call over its cells with sigma > 0, in RSU id order,
+    so they are computed once. One `sample` call draws a whole track: its
+    noise comes from one `standard_normal` call over the cells with
+    sigma > 0, positions in track order and RSUs in id order within each,
     so the values and the generator state match, bit for bit, one
-    `sample_rss` call per RSU.
+    `sample_rss` call per cell in that order.
     """
 
     def __init__(self, rsus: Sequence[Rsu], model: ChannelModel) -> None:
@@ -210,26 +218,36 @@ class RssSampler:
         self._far_sigma = np.array(far)
 
     def sample(
-        self, point: LocalPoint, rng: np.random.Generator
-    ) -> Tuple[List[float], List[float]]:
-        """Distances to, and RSS draws from, every RSU (in id order) at `point`."""
+        self, points: np.ndarray, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Distances to, and RSS draws from, every RSU at each vehicle point.
+
+        `points` is a P x 3 array of local (x, y, z) positions; both results
+        are P x n, one row per point and one column per RSU in id order.
+        A point closer than the reference distance to an RSU raises
+        BelowReferenceDistance for the first such point, with its nearest
+        distance, before any noise is drawn.
+        """
         m = self.model
-        offsets = point.as_array() - self._positions
-        # one dot product per RSU, as np.linalg.norm takes it (np.einsum
-        # and norm(axis=1) round differently)
-        dist = np.sqrt((offsets[:, None, :] @ offsets[:, :, None]).ravel())
-        nearest = float(dist.min())
-        if nearest < m.ref_distance_m:
-            expected_rss(m, nearest)  # raises BelowReferenceDistance
+        offsets = points[:, None, :] - self._positions
+        # one dot product per cell, as np.linalg.norm takes it (np.einsum
+        # and norm(axis=-1) round differently)
+        dist = np.sqrt((offsets[..., None, :] @ offsets[..., :, None])[..., 0, 0])
+        nearest = dist.min(axis=1)
+        below = np.flatnonzero(nearest < m.ref_distance_m)
+        if below.size:
+            expected_rss(m, float(nearest[below[0]]))  # raises BelowReferenceDistance
         # math.log10 per cell: np.log10 rounds differently on some inputs
-        log = np.array([math.log10(d / m.ref_distance_m) for d in dist.tolist()])
+        log = np.array(
+            [math.log10(d / m.ref_distance_m) for d in dist.ravel().tolist()]
+        ).reshape(dist.shape)
         rss = np.maximum(
             self._tx_ref_dbm - 10.0 * m.path_loss_exponent * log, m.rss_floor_dbm
         )
         sigma = np.where(dist < m.near_field_m, self._near_sigma, self._far_sigma)
         noisy = sigma > 0
         rss[noisy] += sigma[noisy] * rng.standard_normal(np.count_nonzero(noisy))
-        return dist.tolist(), np.maximum(rss, m.rss_floor_dbm).tolist()
+        return dist, np.maximum(rss, m.rss_floor_dbm)
 
 
 def generate_survey(
@@ -237,18 +255,18 @@ def generate_survey(
 ) -> SurveyDataset:
     """Simulate the drive-by survey: one sample per grid position per RSU.
 
-    Iteration order (positions ascending, RSUs by id) pins the RNG stream,
-    so the dataset is a pure function of (layout, model, seed).
+    One `RssSampler.sample` call draws the whole track. Its order
+    (positions ascending, RSUs by id) pins the RNG stream, so the dataset
+    is a pure function of (layout, model, seed).
     """
-    rng = np.random.default_rng(seed)
     sampler = RssSampler(layout.rsus, model)
-    samples: List[RssSample] = []
-    for x in layout.positions().tolist():
-        dist, rss = sampler.sample(layout.vehicle_point(x), rng)
-        samples.extend(
-            RssSample(x_m=x, rsu_id=rsu.id, rss_dbm=r, true_distance_m=d)
-            for rsu, d, r in zip(sampler.rsus, dist, rss)
-        )
+    track = layout.track()
+    dist, rss = sampler.sample(track, np.random.default_rng(seed))
+    samples = [
+        RssSample(x_m=x, rsu_id=rsu.id, rss_dbm=r, true_distance_m=d)
+        for x, dists, levels in zip(track[:, 0].tolist(), dist.tolist(), rss.tolist())
+        for rsu, d, r in zip(sampler.rsus, dists, levels)
+    ]
     return SurveyDataset(layout=layout, samples=samples, seed=seed)
 
 

@@ -74,6 +74,8 @@ class EstimatorSpec:
             )
         if self.hidden < 1:
             raise ValueError("estimator.hidden must be >= 1")
+        if self.train_seed < 0:
+            raise ValueError("estimator.train_seed must be >= 0")
         self.train_config()  # checks the training fields
 
     def train_config(self) -> nn.TrainConfig:
@@ -96,6 +98,8 @@ class ScenarioConfig:
     policy: SelectionPolicy = SelectionPolicy()
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("scenario.seed must be >= 0")
         for lo, hi in self.gps_outages:
             if lo > hi or lo < self.layout.start_m or hi > self.layout.end_m:
                 raise ValueError(
@@ -245,14 +249,23 @@ def calibrate_polynomial(
     cutoff_m: float,
     seed: int,
 ) -> Tuple[PolynomialRangeEstimator, Dict[str, float]]:
-    """Fit one quartic per RSU from a fresh calibration survey."""
-    survey = ch.generate_survey(layout, model, seed=seed)
-    samples: Dict[str, List[ch.RssSample]] = {r: [] for r in survey.rsu_ids()}
-    for s in survey.samples:
-        samples[s.rsu_id].append(s)
+    """Fit one quartic per RSU from a fresh calibration survey.
+
+    The survey is `generate_survey`'s grid, drawn from the same seed; each
+    RSU's samples are built from its column only while that RSU is fitted.
+    """
+    sampler = ch.RssSampler(layout.rsus, model)
+    track = layout.track()
+    dist, rss = sampler.sample(track, np.random.default_rng(seed))
+    xs = track[:, 0].tolist()
     by_rsu: Dict[str, CalibratedPoly] = {}
     rmse: Dict[str, float] = {}
-    for rsu_id, mine in samples.items():
+    for j, rsu in enumerate(sampler.rsus):
+        rsu_id = rsu.id
+        mine = [
+            ch.RssSample(x_m=x, rsu_id=rsu_id, rss_dbm=r, true_distance_m=d)
+            for x, d, r in zip(xs, dist[:, j].tolist(), rss[:, j].tolist())
+        ]
         kept = filter_near_field(mine, cutoff_m)
         poly, report = fit_poly4(kept)
         by_rsu[rsu_id] = CalibratedPoly(
@@ -414,6 +427,8 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
     # beacon noise draws from a stream independent of the calibration survey
     rng = np.random.default_rng([run_seed, 1])
     sampler = ch.RssSampler(config.layout.rsus, config.channel)
+    track = config.layout.track()
+    _, rss_grid = sampler.sample(track, rng)
     # below the receiver sensitivity a beacon is lost
     heard_dbm = config.channel.rss_floor_dbm + 1e-9
 
@@ -422,8 +437,7 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
     outage_errors: List[float] = []
     hint: Optional[LocalPoint] = None
 
-    for step, x in enumerate(config.layout.positions()):
-        x = float(x)
+    for step, (x, rss) in enumerate(zip(track[:, 0].tolist(), rss_grid.tolist())):
         truth_local = config.layout.vehicle_point(x)
         sats_ok = not _in_outage(x, config.gps_outages)
         gps = GpsStatus(
@@ -431,7 +445,6 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
             dgps_corrections=sats_ok,
             dgps_position=to_global(truth_local, config.origin) if sats_ok else None,
         )
-        _, rss = sampler.sample(truth_local, rng)
         beacons = [
             Beacon(rsu=rsu, rss_dbm=r)
             for rsu, r in zip(sampler.rsus, rss)
@@ -486,13 +499,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of the seed options: numpy seeds must be >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vanetpos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_survey = sub.add_parser("survey", help="generate a synthetic RSS survey CSV")
     p_survey.add_argument("--config", required=True, help="scenario config JSON")
-    p_survey.add_argument("--seed", type=int, default=None)
+    p_survey.add_argument("--seed", type=non_negative_int, default=None)
     p_survey.add_argument("--out", required=True, help="output CSV path")
 
     p_fit = sub.add_parser("fit", help="calibrate the quartic for one RSU")
@@ -510,13 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--hidden", default="2..10", help="hidden-size range LO..HI (default 2..10)"
     )
     p_sweep.add_argument(
-        "--seeds", type=int, default=20, help="number of seeds (default 20)"
+        "--seeds", type=non_negative_int, default=20,
+        help="number of seeds (default 20)",
     )
     p_sweep.add_argument("--out", required=True, help="ranked table CSV path")
 
     p_drive = sub.add_parser("drive", help="simulated drive with DGPS outages")
     p_drive.add_argument("--config", required=True, help="scenario config JSON")
-    p_drive.add_argument("--seed", type=int, default=None)
+    p_drive.add_argument("--seed", type=non_negative_int, default=None)
     p_drive.add_argument("--out", required=True, help="trace CSV path")
     return parser
 

@@ -217,23 +217,38 @@ class TestRssSampler:
         sampler = RssSampler(self.RSUS, self.MODEL)
         assert [r.id for r in sampler.rsus] == ["r0", "r1", "r2", "r3"]
         assert count_interferers(self.RSUS[2], self.RSUS) == 0
+        x = np.linspace(-30.0, 230.0, 131)
+        track = np.column_stack((x, 7.0 + 0.01 * x, 1.1 + 0.002 * x))
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        dist, rss = sampler.sample(track, fast)
+        assert dist.shape == rss.shape == (131, 4)
+        for row, point in enumerate(track.tolist()):
+            ref_dist, ref_rss = per_cell_draws(
+                self.RSUS, self.MODEL, LocalPoint(*point), slow
+            )
+            assert dist[row].tolist() == ref_dist
+            assert rss[row].tolist() == ref_rss
         r2_model = replace(self.MODEL, ref_rss_dbm=-38.0)
-        silent = 0
-        for x in np.linspace(-30.0, 230.0, 131).tolist():
-            point = LocalPoint(x, 7.0 + 0.01 * x, 1.1 + 0.002 * x)
-            dist, rss = sampler.sample(point, fast)
-            ref_dist, ref_rss = per_cell_draws(self.RSUS, self.MODEL, point, slow)
-            assert dist == ref_dist
-            assert rss == ref_rss
-            silent += rss[2] == expected_rss(r2_model, dist[2])
+        silent = sum(
+            r == expected_rss(r2_model, d)
+            for d, r in zip(dist[:, 2].tolist(), rss[:, 2].tolist())
+        )
         assert silent > 50  # sigma-0 cells were exercised
         assert fast.standard_normal() == slow.standard_normal()
 
     def test_below_reference_distance_rejected(self):
         sampler = RssSampler(self.RSUS, self.MODEL)
         with pytest.raises(BelowReferenceDistance):
-            sampler.sample(LocalPoint(30.0, -4.5, 2.5), np.random.default_rng(0))
+            sampler.sample(np.array([[30.0, -4.5, 2.5]]), np.random.default_rng(0))
+
+    def test_first_row_below_reference_distance_named(self):
+        # row 1 is 0.5 m from r1; row 2, later, comes closer (0.25 m to r2)
+        track = np.array(
+            [[60.0, 7.0, 1.1], [30.5, -4.5, 2.0], [90.25, 3.0, 0.5]]
+        )
+        sampler = RssSampler(self.RSUS, self.MODEL)
+        with pytest.raises(BelowReferenceDistance, match=r"^distance 0\.5 m closer"):
+            sampler.sample(track, np.random.default_rng(0))
 
 
 class TestSurveyCsv:

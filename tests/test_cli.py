@@ -68,6 +68,17 @@ class TestSurveyCommand:
             "08ec779303b34d4fa34901c10249b1509a33614f70599238ca6d523ee73721fc"
         )
 
+    def test_exp1_survey_bytes_pinned(self, tmp_path, capsys):
+        # co-channel RSUs and floor-clamped cells, byte for byte
+        out = tmp_path / "exp1.csv"
+        code, _, _ = run(
+            ["survey", "--config", CONFIGS / "exp1.json", "--out", out], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a8d6719e5ff1c40c2fb96c307d055d42ea9b6242396ab89f9f85127a83fd3657"
+        )
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             ["survey", "--config", tmp_path / "nope.json", "--out", tmp_path / "x.csv"],
@@ -108,6 +119,8 @@ class TestSurveyCommand:
             (("layout", "rsus", 0), "beacon_interval_ms", 100.0, "beacon_interval_ms"),
             (("channel",), "far_sigma_db", float("nan"), "far_sigma_db"),
             (("channel",), "far_sigma_db", 10**400, "far_sigma_db"),
+            (("scenario",), "seed", -1, "scenario.seed"),
+            (("estimator",), "train_seed", -1, "estimator.train_seed"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
@@ -115,6 +128,7 @@ class TestSurveyCommand:
             "rsus-not-list", "duplicate-rsu-id", "rsus-20m-apart", "zero-hidden",
             "zero-patience", "fractional-hidden", "string-bool",
             "removed-beacon-interval", "nan-sigma", "huge-int-sigma",
+            "negative-seed", "negative-train-seed",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -152,6 +166,26 @@ class TestSurveyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["survey"])  # missing required flags
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--config", CONFIGS / "drive.json", "--seed", -1],
+        ["drive", "--config", CONFIGS / "drive.json", "--seed", -1],
+        ["sweep", "in.csv", "--seeds", -2],
+    ],
+    ids=["survey-seed", "drive-seed", "sweep-seeds"],
+)
+def test_negative_seed_flag_exit_1_one_line(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if "error:" in l]
+    assert len(errors) == 1 and "must be >= 0" in errors[0]
+    assert "Traceback" not in err and not out.exists()
 
 
 class TestFitCommand:
@@ -220,6 +254,20 @@ class TestSweepCommand:
         assert len(lines) == 5  # header + 2x2 grid
         # printed top rows match the file
         assert lines[1] in stdout
+
+    def test_seeds_zero_is_empty_table_minus_one_is_usage(
+        self, exp2_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(exp2_csv), "--seeds", "-1", "--out", str(out)])
+        assert exc.value.code == 1 and not out.exists()
+        code, _, _ = run(["sweep", exp2_csv, "--seeds", 0, "--out", out], capsys)
+        assert code == 0
+        assert out.read_text().splitlines() == [
+            "rank,hidden,seed,mse_test,mse_all,maxerr_test,maxerr_all,"
+            "std_test,std_all,var_test,var_all,corr_test,corr_all"
+        ]
 
     def test_table_sorted(self, exp2_csv, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
