@@ -3,8 +3,9 @@
 Log-distance path loss with distance-dependent Gaussian shadowing: chaotic
 inside the near-field band, mild beyond it, plus extra variance for every
 co-channel interferer. The survey generator drives a vehicle along a test
-line past a row of roadside units and records one RSS sample per
-(position, RSU) cell, mirroring a drive-by site survey.
+line past a row of roadside units and records one RSS reading per
+(position, RSU) cell, mirroring a drive-by site survey. It is the only RSS
+draw: a drive's calibration and the beacons it hears are both surveys.
 """
 
 from __future__ import annotations
@@ -102,13 +103,6 @@ class SurveyLayout:
     def vehicle_point(self, x_m: float) -> LocalPoint:
         return LocalPoint(x_m, self.lane_y_m, self.antenna_z_m)
 
-    def track(self) -> np.ndarray:
-        """The (x, lane y, antenna z) vehicle point of every `positions()` step."""
-        x = self.positions()
-        return np.column_stack(
-            (x, np.full_like(x, self.lane_y_m), np.full_like(x, self.antenna_z_m))
-        )
-
 
 @dataclass(frozen=True)
 class RssSample:
@@ -120,19 +114,38 @@ class RssSample:
     true_distance_m: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyDataset:
-    """Complete survey grid: one sample per (position, RSU)."""
+    """Complete survey grid: one reading per (position, RSU).
+
+    `rsus` are the layout's RSUs in id order and `x_m` the P positions;
+    `distance_m` and `rss_dbm` are P x n, one row per position and one
+    column per RSU. Datasets compare by identity (`eq=False`), so `==`
+    never compares arrays.
+    """
 
     layout: SurveyLayout
-    samples: List[RssSample]
-    seed: int
+    rsus: Tuple[Rsu, ...]
+    x_m: np.ndarray
+    distance_m: np.ndarray
+    rss_dbm: np.ndarray
 
     def for_rsu(self, rsu_id: str) -> List[RssSample]:
-        return [s for s in self.samples if s.rsu_id == rsu_id]
+        """One RSU's samples in position order, built from its column."""
+        for j, rsu in enumerate(self.rsus):
+            if rsu.id == rsu_id:
+                return [
+                    RssSample(x_m=x, rsu_id=rsu_id, rss_dbm=r, true_distance_m=d)
+                    for x, d, r in zip(
+                        self.x_m.tolist(),
+                        self.distance_m[:, j].tolist(),
+                        self.rss_dbm[:, j].tolist(),
+                    )
+                ]
+        return []
 
     def rsu_ids(self) -> List[str]:
-        return sorted(r.id for r in self.layout.rsus)
+        return [r.id for r in self.rsus]
 
 
 def expected_rss(model: ChannelModel, distance_m: float) -> float:
@@ -195,79 +208,53 @@ def count_interferers(rsu: Rsu, others: Sequence[Rsu]) -> int:
     )
 
 
-class RssSampler:
-    """Every RSU's RSS draws along a vehicle track, from per-layout constants.
+def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDataset:
+    """Simulate the drive-by survey: every RSU's reading at every position.
 
-    An RSU's interferer count and noise sigmas depend only on the layout,
-    so they are computed once. One `sample` call draws a whole track: its
-    noise comes from one `standard_normal` call over the cells with
-    sigma > 0, positions in track order and RSUs in id order within each,
+    `seed` is anything `np.random.default_rng` takes. An RSU's interferer
+    count and noise sigmas depend only on the layout, so they are computed
+    once per RSU. The noise comes from one `standard_normal` call over the
+    cells with sigma > 0, positions ascending and RSUs by id within each,
     so the values and the generator state match, bit for bit, one
-    `sample_rss` call per cell in that order.
+    `sample_rss` call per cell in that order: the dataset is a pure
+    function of (layout, model, seed). A position closer than the
+    reference distance to an RSU raises BelowReferenceDistance for the
+    first such position, with its nearest distance, before any noise is
+    drawn.
     """
-
-    def __init__(self, rsus: Sequence[Rsu], model: ChannelModel) -> None:
-        self.rsus = sorted(rsus, key=lambda r: r.id)
-        self.model = model
-        self._positions = np.array([r.position.as_array() for r in self.rsus])
-        self._tx_ref_dbm = np.array([r.tx_ref_rss_dbm for r in self.rsus])
-        near, far = zip(
-            *(_sigmas(model, count_interferers(r, self.rsus)) for r in self.rsus)
-        )
-        self._near_sigma = np.array(near)
-        self._far_sigma = np.array(far)
-
-    def sample(
-        self, points: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Distances to, and RSS draws from, every RSU at each vehicle point.
-
-        `points` is a P x 3 array of local (x, y, z) positions; both results
-        are P x n, one row per point and one column per RSU in id order.
-        A point closer than the reference distance to an RSU raises
-        BelowReferenceDistance for the first such point, with its nearest
-        distance, before any noise is drawn.
-        """
-        m = self.model
-        offsets = points[:, None, :] - self._positions
-        # one dot product per cell, as np.linalg.norm takes it (np.einsum
-        # and norm(axis=-1) round differently)
-        dist = np.sqrt((offsets[..., None, :] @ offsets[..., :, None])[..., 0, 0])
-        nearest = dist.min(axis=1)
-        below = np.flatnonzero(nearest < m.ref_distance_m)
-        if below.size:
-            expected_rss(m, float(nearest[below[0]]))  # raises BelowReferenceDistance
-        # math.log10 per cell: np.log10 rounds differently on some inputs
-        log = np.array(
-            [math.log10(d / m.ref_distance_m) for d in dist.ravel().tolist()]
-        ).reshape(dist.shape)
-        rss = np.maximum(
-            self._tx_ref_dbm - 10.0 * m.path_loss_exponent * log, m.rss_floor_dbm
-        )
-        sigma = np.where(dist < m.near_field_m, self._near_sigma, self._far_sigma)
-        noisy = sigma > 0
-        rss[noisy] += sigma[noisy] * rng.standard_normal(np.count_nonzero(noisy))
-        return dist, np.maximum(rss, m.rss_floor_dbm)
-
-
-def generate_survey(
-    layout: SurveyLayout, model: ChannelModel, seed: int
-) -> SurveyDataset:
-    """Simulate the drive-by survey: one sample per grid position per RSU.
-
-    One `RssSampler.sample` call draws the whole track. Its order
-    (positions ascending, RSUs by id) pins the RNG stream, so the dataset
-    is a pure function of (layout, model, seed).
-    """
-    sampler = RssSampler(layout.rsus, model)
-    track = layout.track()
-    dist, rss = sampler.sample(track, np.random.default_rng(seed))
-    samples = [
-        RssSample(x_m=x, rsu_id=rsu.id, rss_dbm=r, true_distance_m=d)
-        for x, dists, levels in zip(track[:, 0].tolist(), dist.tolist(), rss.tolist())
-        for rsu, d, r in zip(sampler.rsus, dists, levels)
-    ]
-    return SurveyDataset(layout=layout, samples=samples, seed=seed)
+    rsus = tuple(sorted(layout.rsus, key=lambda r: r.id))
+    near, far = zip(*(_sigmas(model, count_interferers(r, rsus)) for r in rsus))
+    x = layout.positions()
+    points = np.column_stack(
+        (x, np.full_like(x, layout.lane_y_m), np.full_like(x, layout.antenna_z_m))
+    )
+    offsets = points[:, None, :] - np.array([r.position.as_array() for r in rsus])
+    # one dot product per cell, as np.linalg.norm takes it (np.einsum and
+    # norm(axis=-1) round differently)
+    dist = np.sqrt((offsets[..., None, :] @ offsets[..., :, None])[..., 0, 0])
+    nearest = dist.min(axis=1)
+    below = np.flatnonzero(nearest < model.ref_distance_m)
+    if below.size:
+        # raises BelowReferenceDistance
+        expected_rss(model, float(nearest[below[0]]))
+    # math.log10 per cell: np.log10 rounds differently on some inputs
+    log = np.array(
+        [math.log10(d / model.ref_distance_m) for d in dist.ravel().tolist()]
+    ).reshape(dist.shape)
+    tx_ref_dbm = np.array([r.tx_ref_rss_dbm for r in rsus])
+    floor = model.rss_floor_dbm
+    rss = np.maximum(tx_ref_dbm - 10.0 * model.path_loss_exponent * log, floor)
+    sigma = np.where(dist < model.near_field_m, np.array(near), np.array(far))
+    noisy = sigma > 0
+    rng = np.random.default_rng(seed)
+    rss[noisy] += sigma[noisy] * rng.standard_normal(np.count_nonzero(noisy))
+    return SurveyDataset(
+        layout=layout,
+        rsus=rsus,
+        x_m=x,
+        distance_m=dist,
+        rss_dbm=np.maximum(rss, floor),
+    )
 
 
 # --- survey CSV interface (fixed format for byte-stable experiment files) ---
@@ -278,23 +265,24 @@ SURVEY_CSV_HEADER = "x_m,rsu_id,rss_dbm,true_distance_m,channel"
 def write_survey_csv(dataset: SurveyDataset, path: Union[str, Path]) -> int:
     """Write the survey grid; returns the data row count.
 
-    Rows ordered by x_m then rsu_id, floats at 4 decimal places so repeat
-    runs are byte-identical.
+    Rows in grid order, x_m then rsu_id, floats at 4 decimal places so
+    repeat runs are byte-identical.
     """
-    channels = {r.id: r.channel for r in dataset.layout.rsus}
-    rows = sorted(dataset.samples, key=lambda s: (s.x_m, s.rsu_id))
     lines = [SURVEY_CSV_HEADER]
-    for s in rows:
-        lines.append(
-            f"{s.x_m:.4f},{s.rsu_id},{s.rss_dbm:.4f},"
-            f"{s.true_distance_m:.4f},{channels[s.rsu_id]}"
-        )
+    for x, dists, levels in zip(
+        dataset.x_m.tolist(), dataset.distance_m.tolist(), dataset.rss_dbm.tolist()
+    ):
+        for rsu, d, r in zip(dataset.rsus, dists, levels):
+            lines.append(f"{x:.4f},{rsu.id},{r:.4f},{d:.4f},{rsu.channel}")
     Path(path).write_text("\n".join(lines) + "\n")
-    return len(rows)
+    return len(lines) - 1
 
 
 def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:
-    """Read samples back from the survey CSV (channel column ignored)."""
+    """Read samples back from the survey CSV (channel column ignored).
+
+    A field that is not a finite number is a data error, named by line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != SURVEY_CSV_HEADER:
         raise ValueError(f"{path}: not a survey CSV (bad header)")
@@ -305,14 +293,17 @@ def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"{path}:{lineno}: expected 5 columns")
-        samples.append(
-            RssSample(
-                x_m=float(parts[0]),
-                rsu_id=parts[1],
-                rss_dbm=float(parts[2]),
-                true_distance_m=float(parts[3]),
+        try:
+            values = [float(parts[i]) for i in (0, 2, 3)]
+        except ValueError:
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(
+                f"{path}:{lineno}: x_m, rss_dbm and true_distance_m must be "
+                "finite numbers"
             )
-        )
+        x_m, rss_dbm, distance_m = values
+        samples.append(RssSample(x_m, parts[1], rss_dbm, distance_m))
     return samples
 
 

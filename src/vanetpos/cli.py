@@ -251,22 +251,14 @@ def calibrate_polynomial(
 ) -> Tuple[PolynomialRangeEstimator, Dict[str, float]]:
     """Fit one quartic per RSU from a fresh calibration survey.
 
-    The survey is `generate_survey`'s grid, drawn from the same seed; each
-    RSU's samples are built from its column only while that RSU is fitted.
+    Each RSU's samples are built from its survey column only while that
+    RSU is fitted.
     """
-    sampler = ch.RssSampler(layout.rsus, model)
-    track = layout.track()
-    dist, rss = sampler.sample(track, np.random.default_rng(seed))
-    xs = track[:, 0].tolist()
+    survey = ch.generate_survey(layout, model, seed)
     by_rsu: Dict[str, CalibratedPoly] = {}
     rmse: Dict[str, float] = {}
-    for j, rsu in enumerate(sampler.rsus):
-        rsu_id = rsu.id
-        mine = [
-            ch.RssSample(x_m=x, rsu_id=rsu_id, rss_dbm=r, true_distance_m=d)
-            for x, d, r in zip(xs, dist[:, j].tolist(), rss[:, j].tolist())
-        ]
-        kept = filter_near_field(mine, cutoff_m)
+    for rsu_id in survey.rsu_ids():
+        kept = filter_near_field(survey.for_rsu(rsu_id), cutoff_m)
         poly, report = fit_poly4(kept)
         by_rsu[rsu_id] = CalibratedPoly(
             poly=poly,
@@ -424,11 +416,9 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
         config = replace(config, seed=run_seed)
     estimator = _build_estimator(config)
 
-    # beacon noise draws from a stream independent of the calibration survey
-    rng = np.random.default_rng([run_seed, 1])
-    sampler = ch.RssSampler(config.layout.rsus, config.channel)
-    track = config.layout.track()
-    _, rss_grid = sampler.sample(track, rng)
+    # the beacons are one more survey of the track, drawn from a stream
+    # independent of the calibration survey
+    grid = ch.generate_survey(config.layout, config.channel, [run_seed, 1])
     # below the receiver sensitivity a beacon is lost
     heard_dbm = config.channel.rss_floor_dbm + 1e-9
 
@@ -437,7 +427,7 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
     outage_errors: List[float] = []
     hint: Optional[LocalPoint] = None
 
-    for step, (x, rss) in enumerate(zip(track[:, 0].tolist(), rss_grid.tolist())):
+    for step, (x, rss) in enumerate(zip(grid.x_m.tolist(), grid.rss_dbm.tolist())):
         truth_local = config.layout.vehicle_point(x)
         sats_ok = not _in_outage(x, config.gps_outages)
         gps = GpsStatus(
@@ -447,7 +437,7 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
         )
         beacons = [
             Beacon(rsu=rsu, rss_dbm=r)
-            for rsu, r in zip(sampler.rsus, rss)
+            for rsu, r in zip(grid.rsus, rss)
             if r > heard_dbm
         ]
 
@@ -507,6 +497,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    """argparse type of `fit --min-distance`: a finite distance >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vanetpos", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -520,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("in_csv", help="survey CSV input")
     p_fit.add_argument("--rsu", required=True, help="RSU id to calibrate")
     p_fit.add_argument(
-        "--min-distance", type=float, default=60.0,
+        "--min-distance", type=non_negative_float, default=60.0,
         help="near-field cutoff in meters (default 60)",
     )
     p_fit.add_argument("--out", required=True, help="fit report JSON path")

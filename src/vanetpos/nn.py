@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -402,20 +402,22 @@ def train(
 
 
 def dataset_from_survey(survey: SurveyDataset) -> NnDataset:
-    """Pivot a survey grid into (RSS vector, position) training rows."""
-    return dataset_from_columns(survey.samples, survey.rsu_ids())
+    """A survey grid as training rows: each position's RSS vector, by RSU id."""
+    return NnDataset(
+        inputs=survey.rss_dbm,
+        targets=survey.x_m,
+        feature_names=tuple(survey.rsu_ids()),
+    )
 
 
-def dataset_from_columns(
-    samples, rsu_ids: Optional[Sequence[str]] = None
-) -> NnDataset:
+def dataset_from_columns(samples) -> NnDataset:
     """Build an NnDataset from flat RssSample rows (e.g. a survey CSV)."""
     by_cell: Dict[float, Dict[str, float]] = {}
     seen = set()
     for s in samples:
         by_cell.setdefault(s.x_m, {})[s.rsu_id] = s.rss_dbm
         seen.add(s.rsu_id)
-    ids = tuple(sorted(rsu_ids if rsu_ids is not None else seen))
+    ids = tuple(sorted(seen))
     xs = sorted(by_cell.keys())
     rows = []
     for x in xs:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from vanetpos.channel import (
     ChannelModel,
     Rsu,
-    RssSampler,
     SurveyLayout,
     channels_overlap,
     count_interferers,
@@ -19,10 +19,21 @@ from vanetpos.channel import (
 )
 from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange
 from vanetpos.geometry import LocalPoint
+from vanetpos.nn import dataset_from_columns, dataset_from_survey
 
 
 def default_layout(channels=(1, 7, 13)):
     return SurveyLayout(rsus=standard_rsu_row([0.0, 100.0, 200.0], channels))
+
+
+def all_samples(survey):
+    return [s for rsu_id in survey.rsu_ids() for s in survey.for_rsu(rsu_id)]
+
+
+def assert_same_grid(a, b):
+    assert [r.id for r in a.rsus] == [r.id for r in b.rsus]
+    for name in ("x_m", "distance_m", "rss_dbm"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestExpectedRss:
@@ -119,12 +130,18 @@ class TestSampleRss:
 class TestGenerateSurvey:
     def test_grid_size(self):
         survey = generate_survey(default_layout(), ChannelModel(), seed=1)
-        assert len(survey.samples) == 123  # 41 positions x 3 RSUs
+        # 41 positions x 3 RSUs
+        assert survey.x_m.shape == (41,)
+        assert survey.distance_m.shape == survey.rss_dbm.shape == (41, 3)
 
     def test_complete_grid(self):
         survey = generate_survey(default_layout(), ChannelModel(), seed=1)
-        cells = {(s.x_m, s.rsu_id) for s in survey.samples}
+        cells = {(s.x_m, s.rsu_id) for s in all_samples(survey)}
         assert len(cells) == 123
+
+    def test_for_rsu_unknown_id_is_empty(self):
+        survey = generate_survey(default_layout(), ChannelModel(), seed=1)
+        assert survey.for_rsu("ap999") == []
 
     def test_cochannel_interferer_count(self):
         rsus = standard_rsu_row([0.0, 100.0, 200.0], [6, 6, 6])
@@ -139,12 +156,12 @@ class TestGenerateSurvey:
     def test_seed_reproducibility(self):
         a = generate_survey(default_layout(), ChannelModel(), seed=42)
         b = generate_survey(default_layout(), ChannelModel(), seed=42)
-        assert a == b
+        assert_same_grid(a, b)
 
     def test_seeds_differ(self):
         a = generate_survey(default_layout(), ChannelModel(), seed=1)
         b = generate_survey(default_layout(), ChannelModel(), seed=2)
-        assert a != b
+        assert not np.array_equal(a.rss_dbm, b.rss_dbm)
 
     def test_rsu_list_order_irrelevant(self):
         rsus = standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
@@ -152,19 +169,17 @@ class TestGenerateSurvey:
         rev = SurveyLayout(rsus=list(reversed(rsus)))
         a = generate_survey(fwd, ChannelModel(), seed=4)
         b = generate_survey(rev, ChannelModel(), seed=4)
-        assert a.samples == b.samples
+        assert_same_grid(a, b)
 
     def test_true_distance_includes_lateral_offset(self):
         survey = generate_survey(default_layout(), ChannelModel(), seed=1)
-        abeam = next(
-            s for s in survey.samples if s.rsu_id == "ap100" and s.x_m == 100.0
-        )
+        abeam = next(s for s in survey.for_rsu("ap100") if s.x_m == 100.0)
         assert abeam.true_distance_m == pytest.approx(7.0)
 
     def test_samples_respect_floor(self):
         model = ChannelModel()
         survey = generate_survey(default_layout(), model, seed=3)
-        assert all(s.rss_dbm >= model.rss_floor_dbm for s in survey.samples)
+        assert np.all(survey.rss_dbm >= model.rss_floor_dbm)
 
     def test_cochannel_survey_noisier(self):
         clean = generate_survey(default_layout((1, 7, 13)), ChannelModel(), seed=11)
@@ -174,7 +189,7 @@ class TestGenerateSurvey:
         def residual_var(survey):
             resid = [
                 s.rss_dbm - expected_rss(model, s.true_distance_m)
-                for s in survey.samples
+                for s in all_samples(survey)
                 if s.true_distance_m >= model.near_field_m
                 and s.rss_dbm > model.rss_floor_dbm
             ]
@@ -182,9 +197,17 @@ class TestGenerateSurvey:
 
         assert residual_var(dirty) > 4.0 * residual_var(clean)
 
+    def test_nn_dataset_equals_pivot_of_samples(self):
+        survey = generate_survey(default_layout(), ChannelModel(), seed=5)
+        grid = dataset_from_survey(survey)
+        pivot = dataset_from_columns(all_samples(survey))
+        assert grid.feature_names == pivot.feature_names == ("ap0", "ap100", "ap200")
+        assert grid.inputs.tolist() == pivot.inputs.tolist()
+        assert grid.targets.tolist() == pivot.targets.tolist()
+
 
 def per_cell_draws(rsus, model, point, rng):
-    """The one-RSU-at-a-time sampling loop, kept as the sampler's oracle."""
+    """The one-RSU-at-a-time sampling loop, kept as the survey's oracle."""
     ordered = sorted(rsus, key=lambda r: r.id)
     dist, rss = [], []
     for rsu in ordered:
@@ -195,7 +218,7 @@ def per_cell_draws(rsus, model, point, rng):
     return dist, rss
 
 
-class TestRssSampler:
+class TestSurveyGrid:
     # ids out of x order; heights and lateral offsets differ; "r2" on
     # channel 13 overlaps no other RSU, so with far_sigma_db 0 its cells
     # beyond the near field have sigma 0 and consume no draw
@@ -214,41 +237,46 @@ class TestRssSampler:
     ]
 
     def test_bit_identical_to_per_cell_draws(self):
-        sampler = RssSampler(self.RSUS, self.MODEL)
-        assert [r.id for r in sampler.rsus] == ["r0", "r1", "r2", "r3"]
         assert count_interferers(self.RSUS[2], self.RSUS) == 0
-        x = np.linspace(-30.0, 230.0, 131)
-        track = np.column_stack((x, 7.0 + 0.01 * x, 1.1 + 0.002 * x))
+        layout = SurveyLayout(self.RSUS, start_m=-30.0, end_m=230.0, step_m=2.0)
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
-        dist, rss = sampler.sample(track, fast)
-        assert dist.shape == rss.shape == (131, 4)
-        for row, point in enumerate(track.tolist()):
+        survey = generate_survey(layout, self.MODEL, fast)  # draws from `fast`
+        assert [r.id for r in survey.rsus] == ["r0", "r1", "r2", "r3"]
+        assert survey.x_m.shape == (131,)
+        assert survey.distance_m.shape == survey.rss_dbm.shape == (131, 4)
+        for row, x in enumerate(survey.x_m.tolist()):
             ref_dist, ref_rss = per_cell_draws(
-                self.RSUS, self.MODEL, LocalPoint(*point), slow
+                self.RSUS, self.MODEL, layout.vehicle_point(x), slow
             )
-            assert dist[row].tolist() == ref_dist
-            assert rss[row].tolist() == ref_rss
+            assert survey.distance_m[row].tolist() == ref_dist
+            assert survey.rss_dbm[row].tolist() == ref_rss
         r2_model = replace(self.MODEL, ref_rss_dbm=-38.0)
         silent = sum(
             r == expected_rss(r2_model, d)
-            for d, r in zip(dist[:, 2].tolist(), rss[:, 2].tolist())
+            for d, r in zip(
+                survey.distance_m[:, 2].tolist(), survey.rss_dbm[:, 2].tolist()
+            )
         )
         assert silent > 50  # sigma-0 cells were exercised
         assert fast.standard_normal() == slow.standard_normal()
 
     def test_below_reference_distance_rejected(self):
-        sampler = RssSampler(self.RSUS, self.MODEL)
+        # the x = 30 row passes 0.5 m from r1
+        rsus = [Rsu("r1", LocalPoint(30.5, 7.0, 1.1), 3)]
+        layout = SurveyLayout(rsus, start_m=0.0, end_m=60.0, step_m=2.0)
         with pytest.raises(BelowReferenceDistance):
-            sampler.sample(np.array([[30.0, -4.5, 2.5]]), np.random.default_rng(0))
+            generate_survey(layout, self.MODEL, 0)
 
     def test_first_row_below_reference_distance_named(self):
-        # row 1 is 0.5 m from r1; row 2, later, comes closer (0.25 m to r2)
-        track = np.array(
-            [[60.0, 7.0, 1.1], [30.5, -4.5, 2.0], [90.25, 3.0, 0.5]]
-        )
-        sampler = RssSampler(self.RSUS, self.MODEL)
+        # the x = 30 row is 0.5 m from r1; the later x = 90 row comes
+        # closer, 0.25 m from r2
+        rsus = [
+            Rsu("r2", LocalPoint(90.25, 7.0, 1.1), 13),
+            Rsu("r1", LocalPoint(30.5, 7.0, 1.1), 3),
+        ]
+        layout = SurveyLayout(rsus, start_m=0.0, end_m=120.0, step_m=2.0)
         with pytest.raises(BelowReferenceDistance, match=r"^distance 0\.5 m closer"):
-            sampler.sample(track, np.random.default_rng(0))
+            generate_survey(layout, self.MODEL, 0)
 
 
 class TestSurveyCsv:
@@ -260,9 +288,7 @@ class TestSurveyCsv:
         samples = read_survey_csv(path)
         assert len(samples) == 123
         # values survive at the written precision
-        assert samples[0].rss_dbm == pytest.approx(
-            survey.samples[0].rss_dbm, abs=1e-4
-        )
+        assert samples[0].rss_dbm == pytest.approx(survey.rss_dbm[0, 0], abs=1e-4)
 
     def test_byte_stable(self, tmp_path):
         survey = generate_survey(default_layout(), ChannelModel(), seed=9)
@@ -283,6 +309,23 @@ class TestSurveyCsv:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_survey_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "nan,ap0,-60.0,7.0,1",
+            "0.0,ap0,nan,7.0,1",
+            "0.0,ap0,-60.0,inf,1",
+            "0.0,ap0,-inf,7.0,1",
+            "0.0,ap0,loud,7.0,1",
+        ],
+    )
+    def test_non_finite_field_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "survey.csv"
+        header = "x_m,rsu_id,rss_dbm,true_distance_m,channel"
+        path.write_text(f"{header}\n0.0,ap1,-60.0,7.0,1\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
             read_survey_csv(path)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vanetpos import channel
 from vanetpos.cli import load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,6 +190,47 @@ def test_negative_seed_flag_exit_1_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def poison_survey(src, dst, x, rsu_id, column, value):
+    """Copy survey CSV `src` to `dst` with one field of one cell replaced.
+
+    Returns the line number of the changed row.
+    """
+    lines = src.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        parts = line.split(",")
+        if float(parts[0]) == x and parts[1] == rsu_id:
+            parts[column] = value
+            lines[i] = ",".join(parts)
+            dst.write_text("\n".join(lines) + "\n")
+            return i + 1
+    raise AssertionError(f"no cell ({x}, {rsu_id})")
+
+
+@pytest.mark.parametrize(
+    "cell, argv",
+    [
+        # sweep trained on a nan and wrote an all-nan table (exit 0)
+        ((100.0, "ap100", 2, "nan"), ["sweep", "--hidden", "2..2", "--seeds", 1]),
+        # a far-field nan reached the quartic's SVD (exit 1, traceback)
+        ((0.0, "ap200", 2, "nan"), ["fit", "--rsu", "ap200"]),
+        # an infinite distance made a non-finite coefficient (exit 1)
+        ((0.0, "ap0", 3, "inf"), ["fit", "--rsu", "ap0"]),
+    ],
+    ids=["sweep-nan-rss", "fit-nan-rss", "fit-inf-distance"],
+)
+def test_non_finite_survey_field_exit_2_one_line(
+    cell, argv, exp2_csv, tmp_path, capsys
+):
+    bad = tmp_path / "bad.csv"
+    lineno = poison_survey(exp2_csv, bad, *cell)
+    out = tmp_path / "out"
+    code, _, err = run([argv[0], bad, *argv[1:], "--out", out], capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}:{lineno}: ")
+    assert not out.exists()
+
+
 class TestFitCommand:
     def test_fit_writes_full_report(self, exp2_csv, tmp_path, capsys):
         report_path = tmp_path / "fit.json"
@@ -237,6 +280,20 @@ class TestFitCommand:
             ["fit", bad, "--rsu", "ap200", "--out", tmp_path / "x.json"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_min_distance_not_finite_non_negative_exit_1(
+        self, value, exp2_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(exp2_csv), "--rsu", "ap200",
+                  "--min-distance", value, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and "--min-distance" in errors[0]
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestSweepCommand:
@@ -422,6 +479,23 @@ class TestDriveCommand:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "converge" in lines[0]
 
+    def test_calibration_and_beacons_are_one_survey_each(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        seeds = []
+        draw = channel.generate_survey
+
+        def recording(layout, model, seed):
+            seeds.append(seed)
+            return draw(layout, model, seed)
+
+        monkeypatch.setattr(channel, "generate_survey", recording)
+        config = CONFIGS / "drive.json"
+        code, _, _ = run(["drive", "--config", config, "--out", tmp_path / "t.csv"], capsys)
+        assert code == 0
+        seed = load_scenario(str(config)).seed
+        assert seeds == [seed, [seed, 1]]
+
     def test_summary_matches_independent_recomputation(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         _, stdout, _ = run(
@@ -499,3 +573,18 @@ def test_readme_config_example_loads(tmp_path):
     config = load_scenario(str(path))
     assert [r.id for r in config.layout.rsus] == ["ap0"]
     assert config.estimator is not None and config.estimator.kind == "poly"
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer skips a name the program no longer has, and
+    # that name's metrics then read 0 without notice
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [*spans.SPANNED, *spans.COUNTED]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in names
+        if not hasattr(importlib.import_module(f"vanetpos.{module}"), attr)
+    ]
+    assert names and missing == []

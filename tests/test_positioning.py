@@ -434,7 +434,7 @@ class TestLocateNn:
     def test_nn_path_estimates_position(self):
         est, survey, layout = self.make_estimator()
         x_true = 100.0
-        cell = {s.rsu_id: s.rss_dbm for s in survey.samples if s.x_m == x_true}
+        cell = dict(zip(survey.rsu_ids(), survey.rss_dbm[survey.x_m == x_true][0]))
         beacons = [
             Beacon(rsu=r, rss_dbm=cell[r.id]) for r in layout.rsus
         ]
