@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -281,12 +281,14 @@ def write_survey_csv(dataset: SurveyDataset, path: Union[str, Path]) -> int:
 def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:
     """Read samples back from the survey CSV (channel column ignored).
 
-    A field that is not a finite number is a data error, named by line.
+    A field that is not a finite number, or a second row for an (x_m,
+    rsu_id) cell, is a data error, named by line.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != SURVEY_CSV_HEADER:
         raise ValueError(f"{path}: not a survey CSV (bad header)")
     samples = []
+    first_line: Dict[Tuple[float, str], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -303,6 +305,12 @@ def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:
                 "finite numbers"
             )
         x_m, rss_dbm, distance_m = values
+        first = first_line.setdefault((x_m, parts[1]), lineno)
+        if first != lineno:
+            raise ValueError(
+                f"{path}:{lineno}: repeats the x_m={parts[0]}, rsu_id={parts[1]} "
+                f"cell of line {first}"
+            )
         samples.append(RssSample(x_m, parts[1], rss_dbm, distance_m))
     return samples
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +32,6 @@ _GN_STEP_TOL = 1e-9
 
 # anchors closer than this are treated as coincident / collinear
 _GEOM_TOL = 1e-9
-
-# the coordinates a solve frees: x and y; z stays at the hint's height
-_XY = np.array([True, True, False])
-
 
 @dataclass(frozen=True)
 class GlobalPosition:
@@ -121,34 +117,52 @@ def to_global(p: LocalPoint, origin: GlobalPosition) -> GlobalPosition:
     return GlobalPosition(lat, lon, alt)
 
 
-def _anchor_matrix(ranges: Sequence[AnchorRange]) -> np.ndarray:
-    return np.array([r.anchor.as_array() for r in ranges], dtype=float)
-
-
-def _line_direction_xy(anchors: np.ndarray) -> Optional[np.ndarray]:
-    """Unit direction of the anchors' (x, y) line; None if they are not on
-    one line (two anchors always are)."""
-    centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
-    _, s, vt = np.linalg.svd(centered)
-    if len(anchors) > 2 and s[1] > _GEOM_TOL * max(s[0], 1.0):
+def _line_direction(
+    offsets: Sequence[Tuple[float, float]],
+) -> Optional[Tuple[float, float]]:
+    """Unit direction of the line through the centred anchor offsets; None
+    if they are not collinear (two anchors always are). See `multilaterate`
+    for the test and the sign."""
+    sxx = sxy = syy = det = 0.0
+    for i, (xi, yi) in enumerate(offsets):
+        sxx, sxy, syy = sxx + xi * xi, sxy + xi * yi, syy + yi * yi
+        for xj, yj in offsets[i + 1 :]:
+            det += (xi * yj - xj * yi) ** 2  # Lagrange identity: det(C^T C)
+    disc = math.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
+    lam0 = 0.5 * (sxx + syy + disc)
+    if len(offsets) > 2 and det / lam0 > _GEOM_TOL * _GEOM_TOL * max(lam0, 1.0):
         return None
-    return vt[0] / np.linalg.norm(vt[0])
+    # C^T C's eigenvector of lam0, from the row that does not cancel
+    if sxx >= syy:
+        dx, dy = 0.5 * (sxx - syy + disc), sxy
+    else:
+        dx, dy = sxy, 0.5 * (syy - sxx + disc)
+    norm = math.sqrt(dx * dx + dy * dy)
+    dx, dy = dx / norm, dy / norm
+    # LAPACK's Householder step maps a column's head a to -sign(a) * norm,
+    # sign(0) = +1, or keeps a if the rest is zero; that sign is d's along x,
+    # or along y, from the second offset on, when every x offset is zero
+    col, along = [c[0] for c in offsets], dx
+    if not any(col):
+        col, along = [c[1] for c in offsets[1:]], dy
+    positive = col[0] < 0.0 if any(col[1:]) else col[0] > 0.0
+    return (dx, dy) if (along > 0.0) == positive else (-dx, -dy)
 
 
-def _reflect_across_line_2d(
-    p: np.ndarray, anchors: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Mirror a point across the anchor line of direction d, within (x, y)."""
-    base = anchors[:, :2].mean(axis=0)
-    rel = p[:2] - base
-    along = rel.dot(d) * d
-    mirrored = base + along - (rel - along)
-    return np.array([mirrored[0], mirrored[1], p[2]])
+def _fma_norm(dx: float, dy: float) -> float:
+    """sqrt(dx*dx + dy*dy) rounded as BLAS's fused dot product rounds it; it
+    breaks the tie of two mirror solutions equally near a hint on the line."""
+    c = 134217729.0 * dy  # Veltkamp split: dy*dy == sq + err exactly
+    hi = c - (c - dy)
+    lo = dy - hi
+    sq = dy * dy
+    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo if sq < math.inf else 0.0
+    return math.sqrt(math.fsum((dx * dx, sq, err)))
 
 
 def _linear_init(
-    anchors: np.ndarray, rng_m: np.ndarray, z_fixed: float
-) -> np.ndarray:
+    pts: Sequence[Tuple[float, float, float, float]], z: float
+) -> Tuple[float, float]:
     """Closed-form linearized solve (pairwise-difference equations).
 
     Subtracting the first range equation from the others cancels the
@@ -157,32 +171,22 @@ def _linear_init(
     the minimum-norm component (a point on the anchor line), which the
     caller nudges off before iterating.
     """
-    a0 = anchors[0]
-    rows = []
-    rhs = []
-    for a_i, r_i in zip(anchors[1:], rng_m[1:]):
-        rows.append(2.0 * (a_i - a0)[_XY])
-        const = np.sum((z_fixed - a_i[~_XY]) ** 2) - np.sum(
-            (z_fixed - a0[~_XY]) ** 2
-        )
-        rhs.append(
-            rng_m[0] ** 2
-            - r_i**2
-            + np.sum(a_i[_XY] ** 2)
-            - np.sum(a0[_XY] ** 2)
-            + const
-        )
+    x0, y0, z0, r0 = pts[0]
+    rows, rhs = [], []
+    for x, y, zi, r in pts[1:]:
+        rows.append((2.0 * (x - x0), 2.0 * (y - y0)))
+        const = (z - zi) * (z - zi) - (z - z0) * (z - z0)
+        rhs.append(r0**2 - r**2 + (x * x + y * y) - (x0 * x0 + y0 * y0) + const)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    p = np.full(3, z_fixed, dtype=float)
-    p[_XY] = sol
-    return p
+    return float(sol[0]), float(sol[1])
 
 
 def _gauss_newton(
-    start: np.ndarray, anchors: np.ndarray, rng_m: np.ndarray
-) -> np.ndarray:
-    """Minimize sum((||p - a_i|| - r_i)^2) over (x, y), z held at start's z.
+    px: float, py: float, terms: Sequence[Tuple[float, float, float, float]]
+) -> Tuple[float, float]:
+    """Minimize sum((||p - a_i|| - r_i)^2) over (x, y) from (px, py).
 
+    Each term is (a_x, a_y, (z - a_z)**2, r) for the fixed height z.
     Gauss-Newton steps with Levenberg damping: the damping handles the flat
     valley that appears when noisy ranges leave the circles disjoint and
     the minimum sits on the anchor line. Converges on step norm, on
@@ -191,11 +195,6 @@ def _gauss_newton(
     scalar floats with a closed-form 2x2 solve (the damped determinant is at
     least lam * trace > 0), so it is not bitwise equal to numpy's LAPACK path.
     """
-    px, py, z = map(float, start)
-    terms = [
-        (ax, ay, (z - az) * (z - az), r)
-        for (ax, ay, az), r in zip(anchors.tolist(), rng_m.tolist())
-    ]
     lam = 1e-3
     stagnant = 0
     for _ in range(_GN_MAX_ITERS):
@@ -238,7 +237,7 @@ def _gauss_newton(
         raise NoConvergence(
             f"multilateration did not converge in {_GN_MAX_ITERS} iterations"
         )
-    return np.array([px, py, z])
+    return px, py
 
 
 def multilaterate(
@@ -254,53 +253,56 @@ def multilaterate(
     Anchors collinear in (x, y) leave a mirror ambiguity across their line:
     it resolves to the solution nearer the hint or, without a hint, to the
     road-side convention of picking the solution with y >= the anchors'
-    mean y.
+    mean y. Collinear means the centred anchors' singular values s0 >= s1
+    have s1 <= 1e-9 * max(s0, 1 m), with s1**2 = det / s0**2 and the
+    determinant summed by the Lagrange identity (the closed form cancels).
+    A start on the line moves 1 m along the normal (-d_y, d_x) of the line
+    direction d, signed as LAPACK's SVD signs it: d_x < 0 unless the first
+    anchor's x lies below the centroid's, so on a road along x, d points
+    from the first anchor toward the centroid (toward -x from it); on a line
+    along y, the y offsets after the first decide. Sums run in anchor order.
     """
-    if len(ranges) < 2:
-        raise InsufficientAnchors(
-            f"2D multilateration needs >= 2 anchors, got {len(ranges)}"
-        )
-
-    anchors = _anchor_matrix(ranges)
-    rng_m = np.array([r.range_m for r in ranges], dtype=float)
-    xy_spread = np.linalg.norm(
-        anchors[:, :2] - anchors[:, :2].mean(axis=0), axis=1
-    )
-    if np.all(xy_spread <= _GEOM_TOL):
+    n = len(ranges)
+    if n < 2:
+        raise InsufficientAnchors(f"2D multilateration needs >= 2 anchors, got {n}")
+    pts = [(r.anchor.x_m, r.anchor.y_m, r.anchor.z_m, r.range_m) for r in ranges]
+    mx, my = pts[0][0], pts[0][1]
+    for ax, ay, _, _ in pts[1:]:
+        mx, my = mx + ax, my + ay
+    mx, my = mx / n, my / n
+    offsets = [(ax - mx, ay - my) for ax, ay, _, _ in pts]
+    if all(math.sqrt(cx * cx + cy * cy) <= _GEOM_TOL for cx, cy in offsets):
         raise DegenerateGeometry("anchors coincident in the 2D solve plane")
 
     z = hint.z_m if hint is not None else 0.0
-    d = _line_direction_xy(anchors)
-    normal = None if d is None else np.array([-d[1], d[0]])
+    d = _line_direction(offsets)
     if hint is not None:
-        start = np.array([hint.x_m, hint.y_m, z])
-        if normal is not None:
-            # a start on the anchor line never leaves it; nudge off
-            rel = start[:2] - anchors[:, :2].mean(axis=0)
-            if abs(rel.dot(normal)) < 1e-6:
-                start[:2] += normal
+        px, py = hint.x_m, hint.y_m
+        # a start on the anchor line never leaves it; nudge off
+        if d is not None and abs((px - mx) * -d[1] + (py - my) * d[0]) < 1e-6:
+            px, py = px - d[1], py + d[0]
     else:
-        start = _linear_init(anchors, rng_m, z)
-        if normal is not None:
+        px, py = _linear_init(pts, z)
+        if d is not None:
             # the linearized solve lands on the anchor line; push off on
             # the +y side so the road-side convention holds
-            if normal[1] < 0:
-                normal = -normal
-            start[:2] += normal
+            sign = 1.0 if d[0] >= 0.0 else -1.0
+            px, py = px - sign * d[1], py + sign * d[0]
 
-    p = _gauss_newton(start, anchors, rng_m)
-
+    terms = [(ax, ay, (z - az) * (z - az), r) for ax, ay, az, r in pts]
+    px, py = _gauss_newton(px, py, terms)
     if d is not None:
-        mirror = _reflect_across_line_2d(p, anchors, d)
+        rx, ry = px - mx, py - my
+        t = rx * d[0] + ry * d[1]
+        ux, uy = t * d[0], t * d[1]
+        qx, qy = mx + ux - (rx - ux), my + uy - (ry - uy)
         if hint is not None:
-            h = np.array([hint.x_m, hint.y_m, z])
-            if np.linalg.norm(mirror - h) < np.linalg.norm(p - h):
-                p = mirror
-        else:
-            mean_y = anchors[:, 1].mean()
-            if p[1] < mean_y and mirror[1] >= mean_y:
-                p = mirror
-    return LocalPoint(p[0], p[1], p[2])
+            hx, hy = hint.x_m, hint.y_m
+            if _fma_norm(qx - hx, qy - hy) < _fma_norm(px - hx, py - hy):
+                px, py = qx, qy
+        elif py < my and qy >= my:
+            px, py = qx, qy
+    return LocalPoint(px, py, z)
 
 
 def fuse_fixes(points: Iterable[LocalPoint]) -> LocalPoint:
@@ -308,6 +310,8 @@ def fuse_fixes(points: Iterable[LocalPoint]) -> LocalPoint:
     pts = list(points)
     if not pts:
         raise EmptyInput("fuse_fixes needs at least one point")
-    arr = np.array([p.as_array() for p in pts])
-    mean = arr.mean(axis=0)
-    return LocalPoint(mean[0], mean[1], mean[2])
+    x, y, z = pts[0].x_m, pts[0].y_m, pts[0].z_m
+    for p in pts[1:]:
+        x, y, z = x + p.x_m, y + p.y_m, z + p.z_m
+    k = len(pts)
+    return LocalPoint(x / k, y / k, z / k)

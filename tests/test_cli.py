@@ -231,6 +231,34 @@ def test_non_finite_survey_field_exit_2_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sweep kept one of the two readings (the dataset pivot overwrote it)
+        ["sweep", "--hidden", "2..2", "--seeds", 1],
+        # fit fitted both: n=42 on the 41 positions
+        ["fit", "--rsu", "ap0", "--min-distance", 0],
+    ],
+    ids=["sweep", "fit"],
+)
+def test_repeated_survey_cell_exit_2_one_line(argv, exp2_csv, tmp_path, capsys):
+    lines = exp2_csv.read_text().splitlines()
+    row = next(i for i, l in enumerate(lines) if l.split(",")[1] == "ap0")
+    parts = lines[row].split(",")
+    parts[2] = "-20.0000"
+    lines.append(",".join(parts))
+    bad = tmp_path / "dup.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code, _, err = run([argv[0], bad, *argv[1:], "--out", out], capsys)
+    assert code == 2
+    errors = err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {bad}:{len(lines)}: ")
+    assert f"line {row + 1}" in errors[0]
+    assert not out.exists()
+
+
 class TestFitCommand:
     def test_fit_writes_full_report(self, exp2_csv, tmp_path, capsys):
         report_path = tmp_path / "fit.json"

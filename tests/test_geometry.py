@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetpos import geometry
 from vanetpos.errors import (
@@ -93,6 +95,73 @@ def reference_gauss_newton(start, anchors, rng_m, max_iters=100):
             stagnant = 0
         prev_obj = obj
     raise NoConvergence(f"no convergence in {max_iters} iterations")
+
+
+def gauss_newton_xyz(start, anchors, rng_m):
+    """`geometry._gauss_newton` on arrays: (x, y, z) start, (n, 3) anchors."""
+    z = float(start[2])
+    terms = [
+        (ax, ay, (z - az) * (z - az), r)
+        for (ax, ay, az), r in zip(np.asarray(anchors, float).tolist(), rng_m.tolist())
+    ]
+    x, y = geometry._gauss_newton(float(start[0]), float(start[1]), terms)
+    return np.array([x, y, z])
+
+
+def reference_multilaterate(ranges, hint=None):
+    """The numpy pre- and post-processing the float `multilaterate` replaced.
+
+    One SVD of the centred anchors gives the collinearity test and the line
+    direction; numpy means, norms and dot products give the centroid, the
+    coincidence test, the hint nudge and the mirror. The solve itself is the
+    scalar `_gauss_newton`, so on a road along an axis, where every product
+    with the direction is exact, the float path must agree bit for bit.
+    """
+    if len(ranges) < 2:
+        raise InsufficientAnchors("2D multilateration needs >= 2 anchors")
+    anchors = np.array([r.anchor.as_array() for r in ranges], dtype=float)
+    rng_m = np.array([r.range_m for r in ranges], dtype=float)
+    base = anchors[:, :2].mean(axis=0)
+    if np.all(np.linalg.norm(anchors[:, :2] - base, axis=1) <= 1e-9):
+        raise DegenerateGeometry("anchors coincident in the 2D solve plane")
+    _, s, vt = np.linalg.svd(anchors[:, :2] - base)
+    d = None
+    if len(anchors) == 2 or s[1] <= 1e-9 * max(s[0], 1.0):
+        d = vt[0] / np.linalg.norm(vt[0])
+    normal = None if d is None else np.array([-d[1], d[0]])
+    z = hint.z_m if hint is not None else 0.0
+    if hint is not None:
+        start = np.array([hint.x_m, hint.y_m, z])
+        if normal is not None and abs((start[:2] - base).dot(normal)) < 1e-6:
+            start[:2] += normal
+    else:
+        a0, rows, rhs = anchors[0], [], []
+        for a_i, r_i in zip(anchors[1:], rng_m[1:]):
+            rows.append(2.0 * (a_i - a0)[:2])
+            const = np.sum((z - a_i[2:]) ** 2) - np.sum((z - a0[2:]) ** 2)
+            rhs.append(
+                rng_m[0] ** 2 - r_i**2 + np.sum(a_i[:2] ** 2) - np.sum(a0[:2] ** 2)
+                + const
+            )
+        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        start = np.array([sol[0], sol[1], z])
+        if normal is not None:
+            if normal[1] < 0:
+                normal = -normal
+            start[:2] += normal
+    p = gauss_newton_xyz(start, anchors, rng_m)
+    if d is not None:
+        rel = p[:2] - base
+        along = rel.dot(d) * d
+        mirrored = base + along - (rel - along)
+        mirror = np.array([mirrored[0], mirrored[1], p[2]])
+        if hint is not None:
+            h = np.array([hint.x_m, hint.y_m, z])
+            if np.linalg.norm(mirror - h) < np.linalg.norm(p - h):
+                p = mirror
+        elif p[1] < anchors[:, 1].mean() and mirror[1] >= anchors[:, 1].mean():
+            p = mirror
+    return LocalPoint(p[0], p[1], p[2])
 
 
 def _solve_or_none(solver, *args):
@@ -263,6 +332,162 @@ class TestMultilaterate:
         assert np.allclose(moved.as_array() - shift, base.as_array(), atol=1e-6)
 
 
+def _outcome(ranges, hint, solver):
+    try:
+        p = solver(ranges, hint)
+    except (DegenerateGeometry, NoConvergence) as e:
+        return type(e).__name__
+    return (float(p.x_m), float(p.y_m), float(p.z_m))
+
+
+def _mirror(p, a0, u):
+    """p mirrored across the line through a0 of unit direction u."""
+    rx, ry = p[0] - a0[0], p[1] - a0[1]
+    t = rx * u[0] + ry * u[1]
+    return (a0[0] + 2.0 * t * u[0] - rx, a0[1] + 2.0 * t * u[1] - ry, p[2])
+
+
+@st.composite
+def anchor_rows(draw, kind):
+    """2-4 distinct anchors on one row, ranges to them, and a hint.
+
+    "axis" rows run along x or y at an integer cross coordinate (the drives'
+    roads run along y = 0), with range noise up to 5 m. "axis_float" rows
+    take any float cross coordinate; their centroid then misses the row by
+    rounding, and LAPACK tilts its direction by that in its own way. "diag"
+    rows sit on an integer lattice line. Those two kinds take noiseless
+    ranges to a truth at least 1 m off the line: with the truth on the line,
+    or with disjoint range circles, the minimum is a flat valley where the
+    solve stops anywhere within about 1e-3 m (see test_stagnation_exit), so
+    an ulp in the start moves the fix by more than 1e-9 m. The hint is
+    absent, off the line, or exactly on it.
+    """
+    n = draw(st.integers(2, 4))
+    coord = st.floats(-300.0, 300.0, allow_nan=False)
+    if kind == "diag":
+        ux = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        uy = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        ts = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n, unique=True))
+        step = draw(st.sampled_from([1.0, 7.5, 25.0]))
+        ox, oy = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+        rows = [(ox + t * ux * step, oy + t * uy * step) for t in ts]
+        norm = math.hypot(ux, uy)
+        u = (ux / norm, uy / norm)
+    else:
+        along = draw(st.lists(coord, min_size=n, max_size=n, unique=True))
+        across = draw(coord if kind == "axis_float" else st.integers(-300, 300))
+        u, rows = (1.0, 0.0), [(a, float(across)) for a in along]
+        if draw(st.booleans()):
+            u, rows = (0.0, 1.0), [(y, x) for x, y in rows]
+    zs = draw(st.lists(st.sampled_from([0.0, 1.1]), min_size=n, max_size=n))
+    anchors = [(x, y, z) for (x, y), z in zip(rows, zs)]
+    a0 = anchors[0]
+    side = draw(st.floats(1.0, 60.0)) * draw(st.sampled_from([1.0, -1.0]))
+    t = draw(st.floats(-300.0, 300.0))
+    mode = draw(st.sampled_from(["absent", "off", "on"]))
+    z = 0.0 if mode == "absent" else 1.1  # the height the solve holds
+    truth = (a0[0] + t * u[0] - side * u[1], a0[1] + t * u[1] + side * u[0], z)
+    noise = st.floats(-5.0, 5.0) if kind == "axis" else st.just(0.0)
+    ranges = [
+        AnchorRange(LocalPoint(*a), max(math.dist(a, truth) + draw(noise), 0.0))
+        for a in anchors
+    ]
+    hint = None
+    if mode == "off":
+        hint = LocalPoint(truth[0] + draw(coord) / 10, truth[1] + draw(coord) / 10, 1.1)
+    elif mode == "on":
+        s = draw(st.integers(-5, 5))
+        x1, y1, _ = anchors[1]
+        hint = LocalPoint(a0[0] + s * (x1 - a0[0]), a0[1] + s * (y1 - a0[1]), 1.1)
+    return ranges, hint, (a0, u, mode)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(anchor_rows("axis"))
+    def test_axis_aligned_rows_bit_for_bit(self, case):
+        ranges, hint, _ = case
+        for order in (ranges, ranges[::-1]):
+            ref = _outcome(order, hint, reference_multilaterate)
+            new = _outcome(order, hint, multilaterate)
+            if isinstance(ref, tuple):
+                ref, new = [v.hex() for v in ref], [v.hex() for v in new]
+            assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(anchor_rows("diag"), anchor_rows("axis_float")))
+    def test_other_rows_within_1e9_m(self, case):
+        # the two mirror solutions tie when the hint is on the line; without
+        # a hint, when the line runs along y, or when one of them lies at the
+        # anchors' mean y: the road-side convention compares y with it. The
+        # last bit of the line direction then decides, and LAPACK rounds it
+        # differently
+        ranges, hint, (a0, u, mode) = case
+        mean_y = sum(r.anchor.y_m for r in ranges) / len(ranges)
+        for order in (ranges, ranges[::-1]):
+            ref = _outcome(order, hint, reference_multilaterate)
+            new = _outcome(order, hint, multilaterate)
+            if not (isinstance(ref, tuple) and isinstance(new, tuple)):
+                assert new == ref
+                continue
+            mirrored = _mirror(ref, a0, u)
+            at_mean_y = min(abs(ref[1] - mean_y), abs(mirrored[1] - mean_y)) < 1e-9
+            tied = mode == "on" or mode == "absent" and (u[0] == 0.0 or at_mean_y)
+            err = math.dist(ref, new)
+            if tied:
+                err = min(err, math.dist(mirrored, new))
+            assert err < 1e-9, (ref, new)
+
+
+class TestCollinearity:
+    ANGLES = [30.0, *np.random.default_rng(30).uniform(0.0, 180.0, 24).tolist()]
+
+    @staticmethod
+    def _row(angle_deg, third_off_m=0.0):
+        u = (math.cos(math.radians(angle_deg)), math.sin(math.radians(angle_deg)))
+        anchors = [(12.0 + t * u[0], -40.0 + t * u[1], 1.1) for t in (0, 150, 300)]
+        x, y, z = anchors[2]
+        anchors[2] = (x - third_off_m * u[1], y + third_off_m * u[0], z)
+        return anchors, u
+
+    @staticmethod
+    def _offsets(anchors):
+        mx = sum(a[0] for a in anchors) / len(anchors)
+        my = sum(a[1] for a in anchors) / len(anchors)
+        return [(a[0] - mx, a[1] - my) for a in anchors]
+
+    @pytest.mark.parametrize("angle_deg", ANGLES)
+    def test_diagonal_road_is_collinear(self, angle_deg):
+        # a closed-form s1**2 = (tr - disc) / 2 cancels to ~1e-11 m**2 here,
+        # a thousand times the 1e-9 m threshold squared
+        anchors, u = self._row(angle_deg)
+        d = geometry._line_direction(self._offsets(anchors))
+        assert d is not None and abs(d[0] * u[0] + d[1] * u[1]) > 1.0 - 1e-12
+        # a hint on the road, or 1e-7 m off it, is nudged 1 m along d's
+        # normal (a start on the road never leaves it); the mirror then
+        # brings the fix to the side of the hint, 7 m off the road
+        normal = (-u[1], u[0])
+        on_road = (12.0 + 100.0 * u[0], -40.0 + 100.0 * u[1])
+        truth = (on_road[0] + 7.0 * normal[0], on_road[1] + 7.0 * normal[1], 1.1)
+        ranges = [AnchorRange(LocalPoint(*a), math.dist(a, truth)) for a in anchors]
+        for side, expected in ((1.0, truth), (-1.0, _mirror(truth, anchors[0], u))):
+            hint = LocalPoint(
+                on_road[0] + side * 1e-7 * normal[0],
+                on_road[1] + side * 1e-7 * normal[1],
+                1.1,
+            )
+            p = multilaterate(ranges, hint=hint)
+            assert math.dist((p.x_m, p.y_m), expected[:2]) < 1e-6, side
+        p = multilaterate(ranges, hint=LocalPoint(*on_road, 1.1))
+        off_road = (p.x_m - on_road[0]) * normal[0] + (p.y_m - on_road[1]) * normal[1]
+        assert abs(abs(off_road) - 7.0) < 1e-6
+
+    @pytest.mark.parametrize("angle_deg", ANGLES)
+    def test_third_anchor_1mm_off_is_not_collinear(self, angle_deg):
+        anchors, _ = self._row(angle_deg, third_off_m=1e-3)
+        assert geometry._line_direction(self._offsets(anchors)) is None
+
+
 class TestGaussNewton:
     def test_matches_numpy_reference_on_random_systems(self, monkeypatch):
         # 1,280 systems: 2 and 3 anchors, collinear on y = 0 as in the drives
@@ -293,14 +518,14 @@ class TestGaussNewton:
                 ])
                 args = (start, anchors, ranges)
                 ref = _solve_or_none(reference_gauss_newton, *args)
-                new = _solve_or_none(geometry._gauss_newton, *args)
+                new = _solve_or_none(gauss_newton_xyz, *args)
                 if (ref is None) != (new is None):
                     # a slow solve can end on either side of the iteration
                     # limit; past it both must reach the same point
                     flips += 1
                     monkeypatch.setattr(geometry, "_GN_MAX_ITERS", 200)
                     ref = reference_gauss_newton(*args, max_iters=200)
-                    new = geometry._gauss_newton(*args)
+                    new = gauss_newton_xyz(*args)
                     monkeypatch.undo()
                 cases += 1
                 if ref is None:
@@ -317,7 +542,7 @@ class TestGaussNewton:
         truth = np.array([60.0, 25.0, 0.0])
         ranges = np.linalg.norm(anchors - truth, axis=1)
         start = np.array([80.0, 5.0, 0.0])
-        p = geometry._gauss_newton(start, anchors, ranges)
+        p = gauss_newton_xyz(start, anchors, ranges)
         assert np.linalg.norm(p - truth) < 1e-9
         assert np.linalg.norm(p - reference_gauss_newton(start, anchors, ranges)) < 1e-9
 
@@ -328,7 +553,7 @@ class TestGaussNewton:
         anchors = np.array([[0.0, 0.0, 1.1], [100.0, 0.0, 1.1]])
         ranges = np.array([50.0, 50.0])
         start = np.array([50.0, 1.0, 1.1])
-        p = geometry._gauss_newton(start, anchors, ranges)
+        p = gauss_newton_xyz(start, anchors, ranges)
         assert abs(p[0] - 50.0) < 1e-9
         assert 1e-6 < p[1] < 1e-2
         assert np.linalg.norm(p - reference_gauss_newton(start, anchors, ranges)) < 1e-6
@@ -338,7 +563,7 @@ class TestGaussNewton:
         anchors = np.array([[-1e155, 0.0, 0.0], [1e155, 0.0, 0.0]])
         ranges = np.array([1.0, 1.0])
         start = np.array([0.0, 1.0, 0.0])
-        p = geometry._gauss_newton(start, anchors, ranges)
+        p = gauss_newton_xyz(start, anchors, ranges)
         assert p.tolist() == start.tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             ref = reference_gauss_newton(start, anchors, ranges)
