@@ -120,9 +120,8 @@ def to_global(p: LocalPoint, origin: GlobalPosition) -> GlobalPosition:
 def _line_direction(
     offsets: Sequence[Tuple[float, float]],
 ) -> Optional[Tuple[float, float]]:
-    """Unit direction of the line through the centred anchor offsets; None
-    if they are not collinear (two anchors always are). See `multilaterate`
-    for the test and the sign."""
+    """Unit direction of the centred anchor offsets' line, or None if they
+    are not collinear (two always are); see `multilaterate`."""
     sxx = sxy = syy = det = 0.0
     for i, (xi, yi) in enumerate(offsets):
         sxx, sxy, syy = sxx + xi * xi, sxy + xi * yi, syy + yi * yi
@@ -139,9 +138,8 @@ def _line_direction(
         dx, dy = sxy, 0.5 * (syy - sxx + disc)
     norm = math.sqrt(dx * dx + dy * dy)
     dx, dy = dx / norm, dy / norm
-    # LAPACK's Householder step maps a column's head a to -sign(a) * norm,
-    # sign(0) = +1, or keeps a if the rest is zero; that sign is d's along x,
-    # or along y, from the second offset on, when every x offset is zero
+    # LAPACK's Householder step maps a column's head a to -sign(a) * norm
+    # (+ for 0), or keeps it if the rest is 0: d_x's sign, or d_y's on y
     col, along = [c[0] for c in offsets], dx
     if not any(col):
         col, along = [c[1] for c in offsets[1:]], dy
@@ -186,14 +184,14 @@ def _gauss_newton(
 ) -> Tuple[float, float]:
     """Minimize sum((||p - a_i|| - r_i)^2) over (x, y) from (px, py).
 
-    Each term is (a_x, a_y, (z - a_z)**2, r) for the fixed height z.
+    Each term is (a_x, a_y, (z - a_z)**2, r) at the fixed height z.
     Gauss-Newton steps with Levenberg damping: the damping handles the flat
-    valley that appears when noisy ranges leave the circles disjoint and
-    the minimum sits on the anchor line. Converges on step norm, on
-    objective stagnation, or when no damped step can improve (numerically
-    stationary). Raises NoConvergence only if none of those trigger. Runs on
-    scalar floats with a closed-form 2x2 solve (the damped determinant is at
-    least lam * trace > 0), so it is not bitwise equal to numpy's LAPACK path.
+    valley that appears when noisy ranges leave the circles disjoint and the
+    minimum sits on the anchor line. Converges on step norm, on objective
+    stagnation, or when no damped step can improve (numerically stationary).
+    Raises NoConvergence only if none of those trigger. Runs on scalar floats
+    with a closed-form 2x2 solve (the damped determinant is at least
+    lam * trace > 0), so it is not bitwise equal to numpy's LAPACK path.
     """
     lam = 1e-3
     stagnant = 0
@@ -254,13 +252,12 @@ def multilaterate(
     it resolves to the solution nearer the hint or, without a hint, to the
     road-side convention of picking the solution with y >= the anchors'
     mean y. Collinear means the centred anchors' singular values s0 >= s1
-    have s1 <= 1e-9 * max(s0, 1 m), with s1**2 = det / s0**2 and the
-    determinant summed by the Lagrange identity (the closed form cancels).
-    A start on the line moves 1 m along the normal (-d_y, d_x) of the line
-    direction d, signed as LAPACK's SVD signs it: d_x < 0 unless the first
-    anchor's x lies below the centroid's, so on a road along x, d points
-    from the first anchor toward the centroid (toward -x from it); on a line
-    along y, the y offsets after the first decide. Sums run in anchor order.
+    have s1 <= 1e-9 * max(s0, 1 m), where s1**2 = det / s0**2 and det is
+    summed by the Lagrange identity, which does not cancel. A start on the
+    line, which the solve would never leave, moves 1 m along the normal
+    (-d_y, d_x) of the line direction d, signed as LAPACK's SVD signed it:
+    d_x points from the first anchor's x toward the centroid's (negative if
+    they are equal); on a line along y, the y offsets after the first decide.
     """
     n = len(ranges)
     if n < 2:
@@ -278,7 +275,6 @@ def multilaterate(
     d = _line_direction(offsets)
     if hint is not None:
         px, py = hint.x_m, hint.y_m
-        # a start on the anchor line never leaves it; nudge off
         if d is not None and abs((px - mx) * -d[1] + (py - my) * d[0]) < 1e-6:
             px, py = px - d[1], py + d[0]
     else:

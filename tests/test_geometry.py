@@ -114,8 +114,9 @@ def reference_multilaterate(ranges, hint=None):
     One SVD of the centred anchors gives the collinearity test and the line
     direction; numpy means, norms and dot products give the centroid, the
     coincidence test, the hint nudge and the mirror. The solve itself is the
-    scalar `_gauss_newton`, so on a road along an axis, where every product
-    with the direction is exact, the float path must agree bit for bit.
+    scalar `_gauss_newton`, so on a row along x or y whose centroid lies on
+    it, where every product with the direction is exact, the float path
+    must agree bit for bit.
     """
     if len(ranges) < 2:
         raise InsufficientAnchors("2D multilateration needs >= 2 anchors")
