@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,9 +105,11 @@ class SurveyLayout:
         return LocalPoint(x_m, self.lane_y_m, self.antenna_z_m)
 
 
-@dataclass(frozen=True)
-class RssSample:
-    """One RSS reading: vehicle at x_m, heard from rsu_id."""
+class RssSample(NamedTuple):
+    """One RSS reading: vehicle at x_m, heard from rsu_id.
+
+    A named tuple, so a survey column's samples are cheap to build.
+    """
 
     x_m: float
     rsu_id: str
@@ -134,14 +137,17 @@ class SurveyDataset:
         """One RSU's samples in position order, built from its column."""
         for j, rsu in enumerate(self.rsus):
             if rsu.id == rsu_id:
-                return [
-                    RssSample(x_m=x, rsu_id=rsu_id, rss_dbm=r, true_distance_m=d)
-                    for x, d, r in zip(
-                        self.x_m.tolist(),
-                        self.distance_m[:, j].tolist(),
-                        self.rss_dbm[:, j].tolist(),
+                return list(
+                    map(
+                        RssSample._make,
+                        zip(
+                            self.x_m.tolist(),
+                            repeat(rsu_id),
+                            self.rss_dbm[:, j].tolist(),
+                            self.distance_m[:, j].tolist(),
+                        ),
                     )
-                ]
+                )
         return []
 
     def rsu_ids(self) -> List[str]:

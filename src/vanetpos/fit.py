@@ -100,27 +100,39 @@ def fit_poly4(fit_input: FitInput) -> Tuple[Polynomial4, FitReport]:
     raw-R coefficients. The goodness-of-fit report is computed from the
     expanded coefficients (the ones reported), with k = 5.
     """
+    distinct = len(set(fit_input.rss_dbm))
+    if distinct < _N_COEFFS:
+        raise RankDeficient(
+            f"need >= {_N_COEFFS} distinct RSS values, got {distinct}"
+        )
     rss = np.asarray(fit_input.rss_dbm, dtype=float)
     dist = np.asarray(fit_input.distance_m, dtype=float)
-    if len(np.unique(rss)) < _N_COEFFS:
-        raise RankDeficient(
-            f"need >= {_N_COEFFS} distinct RSS values, got {len(np.unique(rss))}"
-        )
 
     mu = rss.mean()
     sigma = rss.std()
     z = (rss - mu) / sigma
     z_coeffs = np.polyfit(z, dist, deg=4)
-
-    # compose with z(R) = (R - mu) / sigma to recover raw-R coefficients
-    raw = np.poly1d(z_coeffs)(np.poly1d([1.0 / sigma, -mu / sigma]))
-    coeffs = np.zeros(_N_COEFFS)
-    coeffs[_N_COEFFS - len(raw.coeffs):] = raw.coeffs
-    poly = Polynomial4(*coeffs)
+    poly = Polynomial4(*_raw_coefficients(z_coeffs, mu, sigma))
 
     predicted = evaluate_poly4(poly, rss)
     report = goodness_of_fit(dist, predicted, k=_N_COEFFS)
     return poly, report
+
+
+def _raw_coefficients(z_coeffs: np.ndarray, mu: float, sigma: float) -> List[float]:
+    """Compose a polynomial in z with z(R) = (R - mu) / sigma.
+
+    Horner's rule over polynomials, in the order numpy's ``poly1d``
+    composes them, so the values match that composition bit for bit (up to
+    the sign of a zero) without its per-step objects. Highest power first,
+    as floats.
+    """
+    lin = np.array([1.0 / sigma, -mu / sigma])
+    coeffs = z_coeffs[:1]
+    for c in z_coeffs[1:]:
+        coeffs = np.convolve(coeffs, lin)
+        coeffs[-1] += c
+    return coeffs.tolist()
 
 
 def evaluate_poly4(

@@ -1,13 +1,16 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vanetpos import channel
+from vanetpos import channel, cli
 from vanetpos.cli import load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,6 +312,23 @@ class TestFitCommand:
         )
         assert code == 2
 
+    def test_four_distinct_far_field_rss_exit_3_one_line(self, tmp_path, capsys):
+        rows = [channel.SURVEY_CSV_HEADER]
+        # near field: distinct readings the 60 m cutoff drops
+        rows += [f"{5.0 * i:.4f},ap0,{-40.0 - i:.4f},{10.0 + 5.0 * i:.4f},1" for i in range(4)]
+        # far field: eight readings on four RSS values
+        rows += [
+            f"{100.0 + 5.0 * i:.4f},ap0,{-70.0 - i % 4:.4f},{100.0 + 5.0 * i:.4f},1"
+            for i in range(8)
+        ]
+        survey = tmp_path / "few.csv"
+        survey.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "x.json"
+        code, _, err = run(["fit", survey, "--rsu", "ap0", "--out", out], capsys)
+        assert code == 3
+        assert err.splitlines() == ["error: need >= 5 distinct RSS values, got 4"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_min_distance_not_finite_non_negative_exit_1(
         self, value, exp2_csv, tmp_path, capsys
@@ -524,6 +544,39 @@ class TestDriveCommand:
         seed = load_scenario(str(config)).seed
         assert seeds == [seed, [seed, 1]]
 
+    def test_calibration_filters_each_rsu_column_once_in_id_order(
+        self, tmp_path, monkeypatch
+    ):
+        # ids sort as ap0, ap1050, ap1200, ap150, ...: not in x order
+        path = tmp_path / "corridor.json"
+        path.write_text(json.dumps(corridor_config(11, channel_seed=0)))
+        config = load_scenario(str(path))
+        calls = []
+        real = cli.filter_near_field
+
+        def recording(samples, cutoff_m):
+            samples = list(samples)
+            calls.append((samples, cutoff_m))
+            return real(samples, cutoff_m)
+
+        monkeypatch.setattr(cli, "filter_near_field", recording)
+        cli.calibrate_polynomial(config.layout, config.channel, 60.0, config.seed)
+        survey = channel.generate_survey(config.layout, config.channel, config.seed)
+        ids = sorted(r.id for r in config.layout.rsus)
+        assert [samples[0].rsu_id for samples, _ in calls] == ids
+        xs = survey.x_m.tolist()
+        assert xs == sorted(set(xs))
+        for j, (samples, cutoff_m) in enumerate(calls):
+            assert cutoff_m == 60.0
+            assert [s.rsu_id for s in samples] == [ids[j]] * len(xs)
+            for field, column in (
+                ("x_m", xs),
+                ("rss_dbm", survey.rss_dbm[:, j].tolist()),
+                ("true_distance_m", survey.distance_m[:, j].tolist()),
+            ):
+                got = [getattr(s, field) for s in samples]
+                assert [v.hex() for v in got] == [v.hex() for v in column], field
+
     def test_summary_matches_independent_recomputation(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         _, stdout, _ = run(
@@ -589,6 +642,36 @@ class TestDriveCommand:
             ["drive", "--config", path, "--out", tmp_path / "x.csv"], capsys
         )
         assert code == 2
+
+
+def test_rss_sample_keyword_and_positional_agree():
+    keyword = channel.RssSample(
+        x_m=12.5, rsu_id="ap0", rss_dbm=-61.25, true_distance_m=70.0
+    )
+    assert keyword == channel.RssSample(12.5, "ap0", -61.25, 70.0)
+    assert channel.RssSample(12.5, "ap0", -61.25).true_distance_m is None
+
+
+def test_drive_and_fit_do_not_import_numpy_ma(exp2_csv, tmp_path):
+    # np.unique imports all of numpy.ma on its first call, some 16 ms per
+    # process; the commands' own work needs none of it
+    child = (
+        "import sys\n"
+        "from vanetpos.cli import main\n"
+        "drive_json, trace, survey, report = sys.argv[1:]\n"
+        "assert main(['drive', '--config', drive_json, '--out', trace]) == 0\n"
+        "assert main(['fit', survey, '--rsu', 'ap200', '--out', report]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    paths = [os.environ.get("PYTHONPATH", ""), str(ROOT / "src")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths[::-1])))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(CONFIGS / "drive.json"),
+         str(tmp_path / "trace.csv"), str(exp2_csv), str(tmp_path / "fit.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,18 @@ from vanetpos.channel import (
     generate_survey,
     standard_rsu_row,
 )
+from vanetpos.cli import load_scenario
 from vanetpos.errors import RankDeficient, TooFewSamples
 from vanetpos.fit import (
     FitInput,
     Polynomial4,
+    _raw_coefficients,
     evaluate_poly4,
     filter_near_field,
     fit_poly4,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # published degree-4 coefficients for a 60 m cutoff calibration
 PUBLISHED_COEFFS_60M = Polynomial4(-0.005206, -1.553, -173.5, -8608, -1.601e5)
@@ -142,6 +148,70 @@ class TestFitPoly4:
         kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
         _, report = fit_poly4(kept)
         assert report.r_square >= 0.999
+
+
+def reference_compose(z_coeffs, mu, sigma):
+    """Oracle: the np.poly1d composition the quartic's expansion replaces."""
+    raw = np.poly1d(z_coeffs)(np.poly1d([1.0 / sigma, -mu / sigma]))
+    coeffs = np.zeros(5)
+    coeffs[5 - len(raw.coeffs):] = raw.coeffs
+    return coeffs
+
+
+def bits(values):
+    """Exact float identity, zero signs included."""
+    return [float(v).hex() for v in values]
+
+
+def calibration_surveys():
+    """(name, survey, cutoff) for every shipped survey and one long corridor."""
+    out = []
+    for name in ("exp1", "exp2", "drive"):
+        config = load_scenario(str(CONFIGS / f"{name}.json"))
+        out.append(
+            (name, generate_survey(config.layout, config.channel, config.seed), 60.0)
+        )
+    # 41 RSUs 150 m apart over 6 km, drive.json's channel
+    rsus = standard_rsu_row(
+        [150.0 * i for i in range(41)], [(1, 7, 13)[i % 3] for i in range(41)],
+        tx_ref_rss_dbm=-35.0,
+    )
+    layout = replace(config.layout, rsus=rsus, end_m=6000.0)
+    out.append(("corridor41", generate_survey(layout, config.channel, 3), 60.0))
+    return out
+
+
+class TestRawCoefficients:
+    def test_random_sets_match_poly1d_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        mismatches = []
+        for i in range(10_000):
+            z_coeffs = rng.standard_normal(5) * 10.0 ** rng.uniform(-4.0, 3.0, 5)
+            mu = rng.uniform(-95.0, -40.0)
+            sigma = rng.uniform(0.2, 25.0)
+            got = _raw_coefficients(z_coeffs, mu, sigma)
+            assert all(type(c) is float for c in got)
+            if bits(got) != bits(reference_compose(z_coeffs, mu, sigma)):
+                mismatches.append(i)
+        assert mismatches == []
+
+    def test_every_calibration_fit_matches_poly1d_bit_for_bit(self):
+        fits = 0
+        for name, survey, cutoff in calibration_surveys():
+            for rsu_id in survey.rsu_ids():
+                kept = filter_near_field(survey.for_rsu(rsu_id), cutoff)
+                poly, _ = fit_poly4(kept)
+                rss = np.asarray(kept.rss_dbm)
+                mu, sigma = rss.mean(), rss.std()
+                z_coeffs = np.polyfit((rss - mu) / sigma, kept.distance_m, deg=4)
+                got = poly.coefficients()
+                assert all(type(c) is float for c in got), (name, rsu_id)
+                assert bits(got) == bits(reference_compose(z_coeffs, mu, sigma)), (
+                    name,
+                    rsu_id,
+                )
+                fits += 1
+        assert fits == 3 + 3 + 3 + 41
 
 
 class TestEvaluatePoly4:
