@@ -137,17 +137,13 @@ class SurveyDataset:
         """One RSU's samples in position order, built from its column."""
         for j, rsu in enumerate(self.rsus):
             if rsu.id == rsu_id:
-                return list(
-                    map(
-                        RssSample._make,
-                        zip(
-                            self.x_m.tolist(),
-                            repeat(rsu_id),
-                            self.rss_dbm[:, j].tolist(),
-                            self.distance_m[:, j].tolist(),
-                        ),
-                    )
+                column = zip(
+                    self.x_m.tolist(),
+                    repeat(rsu_id),
+                    self.rss_dbm[:, j].tolist(),
+                    self.distance_m[:, j].tolist(),
                 )
+                return list(map(RssSample._make, column))
         return []
 
     def rsu_ids(self) -> List[str]:

@@ -653,7 +653,7 @@ def test_rss_sample_keyword_and_positional_agree():
 
 
 def test_drive_and_fit_do_not_import_numpy_ma(exp2_csv, tmp_path):
-    # np.unique imports all of numpy.ma on its first call, some 16 ms per
+    # np.unique imports all of numpy.ma on its first call, about 15 ms per
     # process; the commands' own work needs none of it
     child = (
         "import sys\n"

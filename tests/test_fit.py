@@ -164,20 +164,18 @@ def bits(values):
 
 
 def calibration_surveys():
-    """(name, survey, cutoff) for every shipped survey and one long corridor."""
+    """(name, survey) for every shipped config and one long corridor."""
     out = []
     for name in ("exp1", "exp2", "drive"):
         config = load_scenario(str(CONFIGS / f"{name}.json"))
-        out.append(
-            (name, generate_survey(config.layout, config.channel, config.seed), 60.0)
-        )
+        out.append((name, generate_survey(config.layout, config.channel, config.seed)))
     # 41 RSUs 150 m apart over 6 km, drive.json's channel
     rsus = standard_rsu_row(
         [150.0 * i for i in range(41)], [(1, 7, 13)[i % 3] for i in range(41)],
         tx_ref_rss_dbm=-35.0,
     )
     layout = replace(config.layout, rsus=rsus, end_m=6000.0)
-    out.append(("corridor41", generate_survey(layout, config.channel, 3), 60.0))
+    out.append(("corridor41", generate_survey(layout, config.channel, 3)))
     return out
 
 
@@ -197,9 +195,9 @@ class TestRawCoefficients:
 
     def test_every_calibration_fit_matches_poly1d_bit_for_bit(self):
         fits = 0
-        for name, survey, cutoff in calibration_surveys():
+        for name, survey in calibration_surveys():
             for rsu_id in survey.rsu_ids():
-                kept = filter_near_field(survey.for_rsu(rsu_id), cutoff)
+                kept = filter_near_field(survey.for_rsu(rsu_id), 60.0)
                 poly, _ = fit_poly4(kept)
                 rss = np.asarray(kept.rss_dbm)
                 mu, sigma = rss.mean(), rss.std()
