@@ -63,19 +63,21 @@ def regression_metrics(
     n = len(a)
     if n < 2:
         raise TooFewSamples(f"need >= 2 samples, got {n}")
-    errors = p - a
-    mse = float(np.mean(errors**2))
-    max_abs = float(np.max(np.abs(errors)))
-    variance = float(np.var(errors, ddof=1))
-    if np.std(a) == 0.0 or np.std(p) == 0.0:
+    errors = p - a  # np.mean/max/var/std/corrcoef's arithmetic, minus their wrappers
+    mse = float(np.add.reduce(errors * errors)) / n
+    max_abs = float(np.maximum.reduce(np.abs(errors)))
+    variance = float(np.add.reduce((errors - np.add.reduce(errors) / n) ** 2)) / (n - 1)
+    x = np.array((a - np.add.reduce(a) / n, p - np.add.reduce(p) / n))
+    if not (np.add.reduce(x * x, axis=1) / n).all():  # np.std(a) or np.std(p) is 0
         raise ZeroVariance("correlation undefined for a constant series")
-    corr = float(np.corrcoef(a, p)[0, 1])
+    cov = np.dot(x, x.T.conj()) * (1 / (n - 1))  # np.cov's own product and scale
+    corr = cov[0, 1] / math.sqrt(cov[0, 0]) / math.sqrt(cov[1, 1])
     return MetricsReport(
         mse=mse,
         max_abs_error=max_abs,
         std_dev=math.sqrt(variance),
         variance=variance,
-        correlation=corr,
+        correlation=float(min(max(corr, -1.0), 1.0)),
         n=n,
     )
 

@@ -6,8 +6,10 @@ descent (classical momentum) with early stopping on the validation set:
 the returned weights are the snapshot from the best validation epoch. The
 sweep trains one network per (hidden size, seed) pair and ranks the
 results the way the experiment logs report them. All seeds of one hidden
-size train together as one stack of networks, each on its own split; the
-results are bit-identical to training each network alone.
+size train together as one stack of networks, each on its own split,
+bit-identical to training each network alone. A stack's parameters,
+velocities and gradients are one (S, K) array each, updated in place; row
+s holds network s's w1 (row-major), b1, w2 and b2, K = h*i + 2h + 1.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .metrics import MetricsReport, regression_metrics
 
 _VAL_FRACTION = 0.15
 _TEST_FRACTION = 0.15
+_MIN_SWEEP_ROWS = math.ceil(2 / _TEST_FRACTION)  # the fewest with a 2-row test split
 
 
 @dataclass
@@ -192,14 +195,17 @@ def _denormalize_output(model: MlpModel, yn):
     return (yn + 1.0) / 2.0 * (model.out_max - model.out_min) + model.out_min
 
 
-def _stack_params(models: Sequence[MlpModel]) -> List[np.ndarray]:
-    """[w1, b1, w2, b2] of same-shaped models, stacked along a new axis 0."""
-    return [
-        np.array([m.w1 for m in models]),
-        np.array([m.b1 for m in models]),
-        np.array([m.w2 for m in models]),
-        np.array([m.b2 for m in models], dtype=float),
-    ]
+def _stack_params(models: Sequence[MlpModel]) -> np.ndarray:
+    """The (S, K) parameter buffer of same-shaped models, a row each."""
+    rows = [np.concatenate((m.w1.ravel(), m.b1, m.w2, [m.b2])) for m in models]
+    return np.array(rows)
+
+
+def _param_views(buf: np.ndarray, n_hidden: int) -> List[np.ndarray]:
+    """[w1, b1, w2, b2] of S networks as views into their (S, K) buffer."""
+    i = buf.shape[1] - 2 * n_hidden - 1  # w1's size
+    w1, b1, w2 = buf[:, :i], buf[:, i : i + n_hidden], buf[:, i + n_hidden : -1]
+    return [w1.reshape(len(buf), n_hidden, -1), b1, w2, buf[:, -1]]
 
 
 def _stack_forward(params: List[np.ndarray], xn: np.ndarray):
@@ -216,30 +222,27 @@ def _stack_forward(params: List[np.ndarray], xn: np.ndarray):
 
 def _mse(pred: np.ndarray, yn: np.ndarray) -> np.ndarray:
     """Each row's mean squared error, summed and divided as np.mean does."""
-    return ((pred - yn) ** 2).sum(axis=1) / yn.shape[1]
+    return np.add.reduce((pred - yn) ** 2, axis=1) / yn.shape[1]
 
 
-def _stack_gradients(
-    w2: np.ndarray, xn: np.ndarray, yn: np.ndarray, h1: np.ndarray, pred: np.ndarray
-) -> List[np.ndarray]:
-    """Backpropagated [w1, b1, w2, b2] gradients of each network's batch MSE.
+def _stack_gradients(w2, xn, yn, h1, pred, out) -> None:
+    """Backpropagate each network's batch MSE into out = [w1, b1, w2, b2].
 
     Takes the forward pass (h1, pred) as arguments, so a training epoch
     reuses the pass that measured the previous epoch's training loss.
     """
     d_pred = 2.0 * (pred - yn) / xn.shape[1]  # (S, n)
     d_a1 = d_pred[:, :, None] * w2[:, None, :] * (1.0 - h1**2)
-    return [
-        d_a1.transpose(0, 2, 1) @ xn,
-        d_a1.sum(axis=1),
-        (h1.transpose(0, 2, 1) @ d_pred[:, :, None])[:, :, 0],
-        d_pred.sum(axis=1),
-    ]
+    np.matmul(d_a1.transpose(0, 2, 1), xn, out=out[0])
+    np.add.reduce(d_a1, axis=1, out=out[1])
+    np.matmul(h1.transpose(0, 2, 1), d_pred[:, :, None], out=out[2][:, :, None])
+    np.add.reduce(d_pred, axis=1, out=out[3])
 
 
 def _predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
     xn = _normalize(x, model.in_min, model.in_max)
-    pred = _stack_forward(_stack_params([model]), xn[None])[1][0]
+    params = _param_views(_stack_params([model]), model.n_hidden)
+    pred = _stack_forward(params, xn[None])[1][0]
     return _denormalize_output(model, pred)
 
 
@@ -267,7 +270,8 @@ def batch_loss(model: MlpModel, inputs: np.ndarray, targets: np.ndarray) -> floa
     """Mean squared error in the normalized output space."""
     xn = _normalize(np.asarray(inputs, dtype=float), model.in_min, model.in_max)
     yn = _normalize(np.asarray(targets, dtype=float), model.out_min, model.out_max)
-    pred = _stack_forward(_stack_params([model]), xn[None])[1]
+    params = _param_views(_stack_params([model]), model.n_hidden)
+    pred = _stack_forward(params, xn[None])[1]
     return float(_mse(pred, yn[None])[0])
 
 
@@ -286,9 +290,10 @@ def gradients(
         )
     xn = _normalize(x, model.in_min, model.in_max)[None]
     yn = _normalize(y, model.out_min, model.out_max)[None]
-    params = _stack_params([model])
+    params = _param_views(_stack_params([model]), model.n_hidden)
     h1, pred = _stack_forward(params, xn)
-    g_w1, g_b1, g_w2, g_b2 = _stack_gradients(params[2], xn, yn, h1, pred)
+    g_w1, g_b1, g_w2, g_b2 = grads = [np.empty_like(p) for p in params]
+    _stack_gradients(params[2], xn, yn, h1, pred, grads)
     return Gradients(w1=g_w1[0], b1=g_b1[0], w2=g_w2[0], b2=float(g_b2[0]))
 
 
@@ -325,35 +330,35 @@ def _train_stack(
     yn_va = _normalize(dataset.targets[rows_va], y_lo, y_hi)
     has_val = rows_va.shape[1] > 0
 
-    params = _stack_params(models)
-    best = [p.copy() for p in params]
+    hidden = models[0].n_hidden
+    packed = _stack_params(models)  # row s: network s's parameters
+    best, velocity, grads = packed.copy(), np.zeros_like(packed), np.empty_like(packed)
+    params, grad_views = (_param_views(b, hidden) for b in (packed, grads))
     best_val = np.full(n_nets, math.inf)
     if has_val:
         best_val = _mse(_stack_forward(params, xn_va)[1], yn_va)
-    velocity = [np.zeros_like(p) for p in params]
     epochs_since_best = np.zeros(n_nets, dtype=int)
     live = np.arange(n_nets)  # stack slot -> network
-    history: List[List[Tuple[float, float]]] = [[] for _ in models]
+    mses = []  # per epoch: (live, train MSE, validation MSE)
 
     h1, pred = _stack_forward(params, xn_tr)
     for _ in range(config.max_epochs):
-        grads = _stack_gradients(params[2], xn_tr, yn_tr, h1, pred)
-        for i, g in enumerate(grads):
-            velocity[i] = config.momentum * velocity[i] - config.learning_rate * g
-            params[i] = params[i] + velocity[i]
+        _stack_gradients(params[2], xn_tr, yn_tr, h1, pred, grad_views)
+        velocity *= config.momentum
+        grads *= config.learning_rate
+        velocity -= grads
+        packed += velocity
 
         h1, pred = _stack_forward(params, xn_tr)
         train_mse = _mse(pred, yn_tr)
         val_mse = (
             _mse(_stack_forward(params, xn_va)[1], yn_va) if has_val else train_mse
         )
-        for s, t, v in zip(live.tolist(), train_mse.tolist(), val_mse.tolist()):
-            history[s].append((t, v))
+        mses.append((live, train_mse, val_mse))
         improved = val_mse < best_val
         if improved.any():
             best_val[improved] = val_mse[improved]
-            for b, p in zip(best, params):
-                b[live[improved]] = p[improved]
+            best[live[improved]] = packed[improved]
         epochs_since_best = np.where(improved, 0, epochs_since_best + 1)
         keep = epochs_since_best < config.patience
         if not keep.all():
@@ -361,16 +366,20 @@ def _train_stack(
             live = live[keep]
             if not live.size:
                 break
-            params = [p[keep] for p in params]
-            velocity = [v[keep] for v in velocity]
+            packed, velocity, grads = packed[keep], velocity[keep], grads[keep]
+            params, grad_views = (_param_views(b, hidden) for b in (packed, grads))
             best_val, epochs_since_best = best_val[keep], epochs_since_best[keep]
             xn_tr, yn_tr, xn_va, yn_va, h1, pred = (
                 a[keep] for a in (xn_tr, yn_tr, xn_va, yn_va, h1, pred)
             )
 
+    history: List[List[Tuple[float, float]]] = [[] for _ in models]
+    for s, t, v in zip(*(np.concatenate(c).tolist() for c in zip(*mses))):
+        history[s].append((t, v))
+    w1, b1, w2, b2 = _param_views(best, hidden)
     trained = [
         replace(
-            m, w1=best[0][s], b1=best[1][s], w2=best[2][s], b2=float(best[3][s]),
+            m, w1=w1[s].copy(), b1=b1[s].copy(), w2=w2[s].copy(), b2=float(b2[s]),
             in_min=in_min[s], in_max=in_max[s],
             out_min=float(out_min[s]), out_max=float(out_max[s]),
         )
@@ -439,6 +448,10 @@ def sweep(dataset: NnDataset, config: SweepConfig) -> SweepTable:
     samples; ties break on (hidden, seed) so the table is reproducible
     regardless of execution order.
     """
+    if dataset.n < _MIN_SWEEP_ROWS:
+        raise TooFewSamples(
+            f"a 2-row test split needs >= {_MIN_SWEEP_ROWS} positions, got {dataset.n}"
+        )
     results = []
     n_inputs = dataset.inputs.shape[1]
     for hidden in config.hidden_sizes if config.seeds else ():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanetpos import channel, cli
+from vanetpos import channel, cli, nn
 from vanetpos.cli import load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -397,6 +397,39 @@ class TestSweepCommand:
             "efa0a17632f655556ec238b44681ec547534801e510a9f3c8c090d6556fa3124"
         )
 
+    def test_exp1_sweep_bytes_pinned(self, tmp_path, capsys):
+        # the sweep over the co-channel survey at the config's seed
+        survey, out = tmp_path / "exp1.csv", tmp_path / "sweep.csv"
+        code, _, _ = run(
+            ["survey", "--config", CONFIGS / "exp1.json", "--out", survey], capsys
+        )
+        assert code == 0
+        code, _, _ = run(["sweep", survey, "--out", out], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d3e2cba2d8be528a06de931f851d867950edac1c38f1442f2079d60a6e461a6b"
+        )
+
+    def test_survey_too_small_for_a_test_split_exit_3_before_training(
+        self, exp2_csv, tmp_path, capsys, monkeypatch
+    ):
+        # 10 positions leave a 1-row test split (floor(0.15 * 10)); the
+        # sweep must say so before it trains a single network
+        header, *rows = exp2_csv.read_text().splitlines()
+        xs = sorted({float(r.split(",")[0]) for r in rows})[:10]
+        kept = [r for r in rows if float(r.split(",")[0]) in xs]
+        small = tmp_path / "small.csv"
+        small.write_text("\n".join([header, *kept]) + "\n")
+        calls = []
+        monkeypatch.setattr(nn, "_train_stack", lambda *a: calls.append(a))
+        out = tmp_path / "x.csv"
+        code, _, err = run(["sweep", small, "--out", out], capsys)
+        assert code == 3
+        assert err.splitlines() == [
+            "error: a 2-row test split needs >= 14 positions, got 10"
+        ]
+        assert calls == [] and not out.exists()
+
     def test_bad_hidden_range_exit_2(self, exp2_csv, tmp_path, capsys):
         code, _, _ = run(
             ["sweep", exp2_csv, "--hidden", "oops", "--out", tmp_path / "x.csv"], capsys
@@ -607,7 +640,9 @@ class TestDriveCommand:
         assert all(r[4] == "DGPS" for r in rows)
         assert all(float(r[7]) == 0.0 for r in rows)
 
-    def test_nn_estimator_drive(self, tmp_path, capsys):
+    @staticmethod
+    def nn_drive(tmp_path, capsys):
+        """drive.json with a trained network as the estimator; the trace path."""
         cfg = json.loads((CONFIGS / "drive.json").read_text())
         cfg["estimator"] = {
             "kind": "nn", "hidden": 8, "train_seed": 3, "max_epochs": 1500,
@@ -618,10 +653,21 @@ class TestDriveCommand:
         out = tmp_path / "trace.csv"
         code, _, _ = run(["drive", "--config", path, "--out", out], capsys)
         assert code == 0
+        return out
+
+    def test_nn_estimator_drive(self, tmp_path, capsys):
+        out = self.nn_drive(tmp_path, capsys)
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         rss_rows = [r for r in rows if r[4] == "RSS"]
         assert rss_rows
         assert all(r[5] != "" for r in rss_rows)
+
+    def test_nn_estimator_drive_trace_bytes_pinned(self, tmp_path, capsys):
+        # train() through a CLI output, byte for byte
+        out = self.nn_drive(tmp_path, capsys)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6d0749c8205a437d55c563afed381b9705b7c571e9cb2221c751f148abada64f"
+        )
 
     def test_outage_outside_range_exit_2(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "drive.json").read_text())

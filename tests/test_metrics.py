@@ -13,6 +13,7 @@ from vanetpos.errors import (
     ZeroVariance,
 )
 from vanetpos.metrics import (
+    MetricsReport,
     fit_report_from_summary,
     goodness_of_fit,
     regression_metrics,
@@ -36,6 +37,64 @@ def naive_metrics(actual, predicted):
     # None where the product underflows (to 0 or to a subnormal)
     corr = cov / math.sqrt(product) if product >= sys.float_info.min else None
     return mse, max_abs, variance, corr
+
+
+def reference_regression_metrics(actual, predicted):
+    """regression_metrics as written with np.mean, np.var, np.std and np.corrcoef.
+
+    The shipped function must give the same report, bit for bit, and raise
+    ZeroVariance in the same cases.
+    """
+    a = np.asarray(actual, dtype=float)
+    p = np.asarray(predicted, dtype=float)
+    n = len(a)
+    errors = p - a
+    mse = float(np.mean(errors**2))
+    max_abs = float(np.max(np.abs(errors)))
+    variance = float(np.var(errors, ddof=1))
+    if np.std(a) == 0.0 or np.std(p) == 0.0:
+        raise ZeroVariance("correlation undefined for a constant series")
+    corr = float(np.corrcoef(a, p)[0, 1])
+    return MetricsReport(
+        mse=mse,
+        max_abs_error=max_abs,
+        std_dev=math.sqrt(variance),
+        variance=variance,
+        correlation=corr,
+        n=n,
+    )
+
+
+def oracle_draw(rng):
+    """One (actual, predicted) pair: n in [2, 200], scale in [1e-3, 1e4].
+
+    Three kinds in eight hold a constant series. A constant's mean need not
+    round back to the constant, so only some of them raise ZeroVariance.
+    """
+    n = int(rng.integers(2, 201))
+    scale = 10.0 ** rng.uniform(-3.0, 4.0)
+    actual = rng.normal(size=n) * scale + rng.normal() * 10 * scale
+    kind = int(rng.integers(0, 8))
+    if kind == 0:  # a good predictor
+        predicted = actual + rng.normal(size=n) * scale * rng.uniform(0.0, 1.0)
+    elif kind == 1:  # constant prediction
+        predicted = np.full(n, rng.normal() * scale)
+    elif kind == 2:  # constant ground truth
+        actual = np.full(n, rng.normal() * scale)
+        predicted = rng.normal(size=n) * scale
+    elif kind == 3:  # both constant
+        actual = np.full(n, rng.normal() * scale)
+        predicted = np.full(n, rng.normal() * scale)
+    elif kind == 4:  # exact
+        predicted = actual.copy()
+    elif kind == 5:  # anti-correlated
+        predicted = -actual + rng.normal(size=n) * 1e-9 * scale
+    elif kind == 6:  # few distinct values, many ties
+        actual = rng.integers(0, 3, size=n) * scale
+        predicted = rng.integers(0, 3, size=n) * scale
+    else:  # unrelated
+        predicted = rng.normal(size=n) * scale
+    return actual, predicted
 
 
 def check_against_naive(actual, predicted):
@@ -145,6 +204,27 @@ class TestRegressionMetrics:
         assert a.max_abs_error == b.max_abs_error
         assert a.variance == pytest.approx(b.variance, rel=1e-12)
         assert a.correlation == pytest.approx(b.correlation, rel=1e-12)
+
+    def test_equals_numpy_reference_on_seeded_draws(self):
+        rng = np.random.default_rng(2024)
+        raised = 0
+        for _ in range(10_000):
+            actual, predicted = oracle_draw(rng)
+            try:
+                expected = reference_regression_metrics(actual, predicted)
+            except ZeroVariance:
+                raised += 1
+                with pytest.raises(ZeroVariance):
+                    regression_metrics(actual, predicted)
+                continue
+            report = regression_metrics(actual, predicted)
+            assert report == expected
+            # == holds for 0.0 against -0.0; the bits must match too
+            fields = ("mse", "max_abs_error", "std_dev", "variance", "correlation")
+            assert [getattr(report, f).hex() for f in fields] == [
+                getattr(expected, f).hex() for f in fields
+            ]
+        assert 1_000 < raised < 9_000
 
     def test_mse_variance_identity(self):
         # mse = variance*(n-1)/n + mean_error^2

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from vanetpos import nn
 from vanetpos.channel import ChannelModel, SurveyLayout, generate_survey, standard_rsu_row
 from vanetpos.errors import DimensionMismatch, EmptyBatch, TooFewSamples
 from vanetpos.metrics import regression_metrics
@@ -373,6 +377,30 @@ class TestSweep:
         )
         assert sweep(ds, fwd) == sweep(ds, rev)
 
+    def test_too_few_rows_for_a_test_split_fails_before_training(self, monkeypatch):
+        # the smallest survey whose 15 % test split holds the two rows
+        # regression_metrics needs
+        assert nn._MIN_SWEEP_ROWS == 14
+        assert math.floor(nn._TEST_FRACTION * nn._MIN_SWEEP_ROWS) == 2
+        assert math.floor(nn._TEST_FRACTION * (nn._MIN_SWEEP_ROWS - 1)) == 1
+        full = self.survey_dataset()
+        calls = []
+        train_stack = nn._train_stack
+        monkeypatch.setattr(
+            nn, "_train_stack", lambda *a: calls.append(a) or train_stack(*a)
+        )
+        config = SweepConfig(
+            hidden_sizes=(2,), seeds=(0,), train=TrainConfig(max_epochs=5)
+        )
+        for n in (7, 13):
+            ds = NnDataset(full.inputs[:n], full.targets[:n], full.feature_names)
+            with pytest.raises(TooFewSamples, match="2-row test split needs >= 14"):
+                sweep(ds, config)
+        assert calls == []
+        ds = NnDataset(full.inputs[:14], full.targets[:14], full.feature_names)
+        assert len(sweep(ds, config).rows) == 1
+        assert len(calls) == 1
+
     def test_no_seeds_gives_empty_table(self):
         config = SweepConfig(hidden_sizes=(2, 3), seeds=())
         assert sweep(self.survey_dataset(), config).rows == ()
@@ -443,3 +471,79 @@ class TestStackedTrainer:
         ref_model, ref_history = reference_train(model, dataset, splits, config)
         assert trained == ref_model
         assert history == ref_history
+
+
+MODEL_ARRAYS = ("w1", "b1", "w2", "in_min", "in_max")
+
+
+class TestBufferOwnership:
+    """The stack updates its buffers in place and compacts them when a
+    network stops; none of that may reach a model handed in or handed back."""
+
+    @pytest.fixture()
+    def stack_buffers(self, monkeypatch):
+        """Every (S, K) buffer the trainer makes views of, in order."""
+        seen = []
+        param_views = nn._param_views
+
+        def recording(buf, n_hidden):
+            seen.append(buf)
+            return param_views(buf, n_hidden)
+
+        monkeypatch.setattr(nn, "_param_views", recording)
+        return seen
+
+    @staticmethod
+    def check(inputs, snapshots, trained, buffers):
+        for model, snapshot in zip(inputs, snapshots):
+            assert model == snapshot
+        arrays = [
+            (i, getattr(m, a)) for i, m in enumerate(trained) for a in MODEL_ARRAYS
+        ]
+        for (i, a), (j, b) in itertools.combinations(arrays, 2):
+            assert i == j or not np.shares_memory(a, b)
+        handed_in = [getattr(m, a) for m in inputs for a in MODEL_ARRAYS]
+        for _, a in arrays:
+            assert not any(np.shares_memory(a, b) for b in buffers + handed_in)
+
+    def test_train(self, stack_buffers):
+        ds = TestSweep.survey_dataset()
+        model = init_mlp(3, 5, seed=1)
+        snapshot = model.copy()
+        splits = split_dataset(ds.n, 1)
+        trained, _ = train(model, ds, splits, TrainConfig(max_epochs=40))
+        assert stack_buffers
+        self.check([model], [snapshot], [trained], stack_buffers)
+
+    def test_train_stack_that_compacts_mid_run(self, stack_buffers):
+        ds = TestSweep.survey_dataset()
+        seeds = range(6)
+        models = [init_mlp(3, 4, seed) for seed in seeds]
+        snapshots = [m.copy() for m in models]
+        splits = [split_dataset(ds.n, seed) for seed in seeds]
+        config = TrainConfig(max_epochs=200, patience=3)
+        trained, history = nn._train_stack(models, ds, splits, config)
+        # some networks stopped while others trained on in a smaller stack
+        epochs = sorted(len(h) for h in history)
+        assert epochs[0] < epochs[-1]
+        assert sorted({len(b) for b in stack_buffers})[0] < len(models)
+        self.check(models, snapshots, trained, stack_buffers)
+
+    def test_sweep(self, stack_buffers, monkeypatch):
+        calls = []
+        train_stack = nn._train_stack
+
+        def recording(models, *args):
+            snapshots = [m.copy() for m in models]
+            trained, history = train_stack(models, *args)
+            calls.append((models, snapshots, trained))
+            return trained, history
+
+        monkeypatch.setattr(nn, "_train_stack", recording)
+        config = SweepConfig(
+            hidden_sizes=(2, 3), seeds=(0, 1, 2), train=TrainConfig(max_epochs=60)
+        )
+        sweep(TestSweep.survey_dataset(), config)
+        assert len(calls) == 2
+        for models, snapshots, trained in calls:
+            self.check(models, snapshots, trained, stack_buffers)
