@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BelowReferenceDistance, ChannelOutOfRange
+from .errors import BelowReferenceDistance, ChannelOutOfRange, VanetPosError
 from .geometry import LocalPoint
 
 WIFI_CHANNEL_MIN = 1
@@ -127,7 +127,6 @@ class SurveyDataset:
     never compares arrays.
     """
 
-    layout: SurveyLayout
     rsus: Tuple[Rsu, ...]
     x_m: np.ndarray
     distance_m: np.ndarray
@@ -251,7 +250,6 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     rng = np.random.default_rng(seed)
     rss[noisy] += sigma[noisy] * rng.standard_normal(np.count_nonzero(noisy))
     return SurveyDataset(
-        layout=layout,
         rsus=rsus,
         x_m=x,
         distance_m=dist,
@@ -286,9 +284,12 @@ def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:
     A field that is not a finite number, or a second row for an (x_m,
     rsu_id) cell, is a data error, named by line.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise VanetPosError(f"{path}: not a survey CSV ({e})") from e
     if not lines or lines[0] != SURVEY_CSV_HEADER:
-        raise ValueError(f"{path}: not a survey CSV (bad header)")
+        raise VanetPosError(f"{path}: not a survey CSV (bad header)")
     samples = []
     first_line: Dict[Tuple[float, str], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -296,42 +297,23 @@ def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:
             continue
         parts = line.split(",")
         if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 columns")
+            raise VanetPosError(f"{path}:{lineno}: expected 5 columns")
         try:
             values = [float(parts[i]) for i in (0, 2, 3)]
         except ValueError:
             values = [math.nan]
         if not all(map(math.isfinite, values)):
-            raise ValueError(
+            raise VanetPosError(
                 f"{path}:{lineno}: x_m, rss_dbm and true_distance_m must be "
                 "finite numbers"
             )
         x_m, rss_dbm, distance_m = values
         first = first_line.setdefault((x_m, parts[1]), lineno)
         if first != lineno:
-            raise ValueError(
+            raise VanetPosError(
                 f"{path}:{lineno}: repeats the x_m={parts[0]}, rsu_id={parts[1]} "
                 f"cell of line {first}"
             )
         samples.append(RssSample(x_m, parts[1], rss_dbm, distance_m))
     return samples
 
-
-def standard_rsu_row(
-    positions_m: Sequence[float],
-    channels: Sequence[int],
-    antenna_z_m: float = 1.10,
-    tx_ref_rss_dbm: float = -40.0,
-) -> List[Rsu]:
-    """RSUs on the y = 0 line at the given x positions, named ap<pos>."""
-    if len(positions_m) != len(channels):
-        raise ValueError("positions_m and channels must have equal length")
-    return [
-        Rsu(
-            id=f"ap{int(round(x))}",
-            position=LocalPoint(float(x), 0.0, antenna_z_m),
-            channel=int(ch),
-            tx_ref_rss_dbm=tx_ref_rss_dbm,
-        )
-        for x, ch in zip(positions_m, channels)
-    ]

@@ -54,6 +54,10 @@ SWEEP_CSV_HEADER = (
 TRACE_CSV_HEADER = (
     "t_s,x_true_m,x_est_m,y_est_m,source,used_rsus,quality_m,abs_error_m"
 )
+# too little data or too few anchors, or no converged fix (else exit 2)
+_EXIT_3 = (
+    TooFewSamples, RankDeficient, InsufficientAnchors, NoCoverage, NoConvergence
+)
 
 
 @dataclass(frozen=True)
@@ -313,21 +317,10 @@ def cmd_survey(config_path: str, seed: Optional[int], out_path: str) -> int:
 def cmd_fit(
     in_csv: str, rsu_id: str, min_distance_m: float, report_path: str
 ) -> int:
-    try:
-        samples = ch.read_survey_csv(in_csv)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    mine = [s for s in samples if s.rsu_id == rsu_id]
+    mine = [s for s in ch.read_survey_csv(in_csv) if s.rsu_id == rsu_id]
     if not mine:
-        print(f"error: RSU {rsu_id!r} not present in {in_csv}", file=sys.stderr)
-        return 2
-    try:
-        kept = filter_near_field(mine, min_distance_m)
-        poly, report = fit_poly4(kept)
-    except (TooFewSamples, RankDeficient) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        raise VanetPosError(f"RSU {rsu_id!r} not present in {in_csv}")
+    poly, report = fit_poly4(filter_near_field(mine, min_distance_m))
     payload = {
         "p1": poly.p1,
         "p2": poly.p2,
@@ -373,12 +366,7 @@ def _sweep_row_to_csv(row: nn.SweepRow) -> str:
 def cmd_sweep(
     in_csv: str, hidden_range: Tuple[int, ...], n_seeds: int, out_csv: str
 ) -> int:
-    try:
-        samples = ch.read_survey_csv(in_csv)
-        dataset = nn.dataset_from_columns(samples)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    dataset = nn.dataset_from_columns(ch.read_survey_csv(in_csv))
     config = nn.SweepConfig(
         hidden_sizes=hidden_range,
         seeds=tuple(range(n_seeds)),
@@ -445,9 +433,8 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
             fix = locate(
                 gps, beacons, estimator, config.policy, config.origin, hint=hint
             )
-        except (NoCoverage, InsufficientAnchors) as e:
-            print(f"error at x={x}: {e}", file=sys.stderr)
-            return 3
+        except VanetPosError as e:  # name the step; `main` picks the code
+            raise type(e)(f"at x={x}: {e}") from e
         hint = fix.local_position
 
         x_est = f"{fix.local_position.x_m:.4f}"
@@ -542,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    """Run one command: the only place an error becomes an exit code."""
+    args = build_parser().parse_args(argv)
+    try:  # by global name, so a wrapper patched over a command sees the call
         if args.command == "survey":
             return cmd_survey(args.config, args.seed, args.out)
         if args.command == "fit":
@@ -553,18 +540,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_sweep(
                 args.in_csv, _parse_hidden_range(args.hidden), args.seeds, args.out
             )
-        if args.command == "drive":
-            return cmd_drive(args.config, args.out, args.seed)
+        return cmd_drive(args.config, args.out, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (TooFewSamples, InsufficientAnchors, NoCoverage, NoConvergence) as e:
+    except (VanetPosError, OSError) as e:  # OSError: a path not read or written
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except VanetPosError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
+        return 3 if isinstance(e, _EXIT_3) else 2
 
 
 if __name__ == "__main__":

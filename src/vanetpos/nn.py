@@ -154,13 +154,12 @@ def split_dataset(n: int, seed: int) -> SplitIndices:
     """Shuffled 70/15/15 split; validation and test take floor(0.15 n) each."""
     if n < 7:
         raise TooFewSamples(f"need >= 7 samples to split, got {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    order = np.random.default_rng(seed).permutation(n).tolist()
     n_test = int(math.floor(_TEST_FRACTION * n))
     n_val = int(math.floor(_VAL_FRACTION * n))
-    test = tuple(int(i) for i in perm[:n_test])
-    validation = tuple(int(i) for i in perm[n_test : n_test + n_val])
-    train = tuple(int(i) for i in perm[n_test + n_val :])
+    test = tuple(order[:n_test])
+    validation = tuple(order[n_test : n_test + n_val])
+    train = tuple(order[n_test + n_val :])
     return SplitIndices(train=train, validation=validation, test=test)
 
 
@@ -432,7 +431,7 @@ def dataset_from_columns(samples) -> NnDataset:
     for x in xs:
         cell = by_cell[x]
         if set(ids) - set(cell.keys()):
-            raise ValueError(f"incomplete survey grid at x={x}")
+            raise VanetPosError(f"incomplete survey grid at x={x}")
         rows.append([cell[r] for r in ids])
     return NnDataset(
         inputs=np.asarray(rows, dtype=float),

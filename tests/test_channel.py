@@ -14,12 +14,13 @@ from vanetpos.channel import (
     generate_survey,
     read_survey_csv,
     sample_rss,
-    standard_rsu_row,
     write_survey_csv,
 )
 from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange
 from vanetpos.geometry import LocalPoint
 from vanetpos.nn import dataset_from_columns, dataset_from_survey
+
+from helpers import standard_rsu_row
 
 
 def default_layout(channels=(1, 7, 13)):

@@ -262,6 +262,44 @@ def test_repeated_survey_cell_exit_2_one_line(argv, exp2_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--config", CONFIGS / "exp2.json", "--out", "{missing}"],
+        ["fit", "{survey}", "--rsu", "ap200", "--out", "{missing}"],
+        ["sweep", "{survey}", "--hidden", "2..2", "--seeds", 1, "--out", "{missing}"],
+        ["drive", "--config", CONFIGS / "drive.json", "--out", "{missing}"],
+        ["survey", "--config", "{dir}", "--out", "{out}"],
+        ["drive", "--config", "{dir}", "--out", "{out}"],
+        ["fit", "{latin1}", "--rsu", "ap200", "--out", "{out}"],
+        ["sweep", "{latin1}", "--hidden", "2..2", "--seeds", 1, "--out", "{out}"],
+    ],
+    ids=[
+        "survey-out-dir", "fit-out-dir", "sweep-out-dir", "drive-out-dir",
+        "survey-config-is-dir", "drive-config-is-dir",
+        "fit-not-utf8", "sweep-not-utf8",
+    ],
+)
+def test_unreadable_or_unwritable_path_exit_2_one_line(
+    argv, exp2_csv, tmp_path, capsys
+):
+    # an --out in a missing directory and a --config naming a directory
+    # ended in a traceback (exit 1); a survey that is not UTF-8 must stay a
+    # data error now that fit and sweep catch nothing themselves
+    latin1 = tmp_path / "latin1.csv"
+    text = exp2_csv.read_text().replace("ap200", "ap200\xe9")
+    latin1.write_bytes(text.encode("latin-1"))
+    paths = {
+        "survey": exp2_csv, "latin1": latin1, "dir": tmp_path,
+        "missing": tmp_path / "missing" / "out", "out": tmp_path / "out",
+    }
+    code, _, err = run([str(a).format(**paths) for a in argv], capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 class TestFitCommand:
     def test_fit_writes_full_report(self, exp2_csv, tmp_path, capsys):
         report_path = tmp_path / "fit.json"
@@ -559,6 +597,29 @@ class TestDriveCommand:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "converge" in lines[0]
+        assert "at x=" in lines[0]
+
+    def test_rank_deficient_calibration_exit_3_as_fit_does(
+        self, tmp_path, capsys
+    ):
+        # every reading of ap3000 sits at the -95 dBm floor, so its quartic
+        # is rank-deficient; drive exited 2 where fit exits 3
+        cfg = json.loads((CONFIGS / "drive.json").read_text())
+        cfg["layout"]["rsus"][2].update(id="ap3000", x_m=3000.0)
+        cfg["channel"].update(far_sigma_db=0.0, near_sigma_db=0.0)
+        path, survey = tmp_path / "far.json", tmp_path / "far.csv"
+        path.write_text(json.dumps(cfg))
+        code, _, _ = run(["survey", "--config", path, "--out", survey], capsys)
+        assert code == 0
+        out = tmp_path / "x.csv"
+        for argv in (
+            ["drive", "--config", path, "--out", out],
+            ["fit", survey, "--rsu", "ap3000", "--out", out],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 3, argv[0]
+            assert err.splitlines() == ["error: need >= 5 distinct RSS values, got 1"]
+            assert not out.exists()
 
     def test_calibration_and_beacons_are_one_survey_each(
         self, tmp_path, capsys, monkeypatch

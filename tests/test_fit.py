@@ -9,7 +9,6 @@ from vanetpos.channel import (
     ChannelModel,
     SurveyLayout,
     generate_survey,
-    standard_rsu_row,
 )
 from vanetpos.cli import load_scenario
 from vanetpos.errors import RankDeficient, TooFewSamples
@@ -21,6 +20,8 @@ from vanetpos.fit import (
     filter_near_field,
     fit_poly4,
 )
+
+from helpers import standard_rsu_row
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

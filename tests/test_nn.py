@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vanetpos import nn
-from vanetpos.channel import ChannelModel, SurveyLayout, generate_survey, standard_rsu_row
+from vanetpos.channel import ChannelModel, SurveyLayout, generate_survey
 from vanetpos.errors import DimensionMismatch, EmptyBatch, TooFewSamples
 from vanetpos.metrics import regression_metrics
 from vanetpos.nn import (
@@ -24,6 +24,8 @@ from vanetpos.nn import (
     sweep,
     train,
 )
+
+from helpers import standard_rsu_row
 
 
 def linear_task(n=41, span_m=20.0):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vanetpos.channel import ChannelModel, Rsu, SurveyLayout, generate_survey, standard_rsu_row
+from vanetpos.channel import ChannelModel, Rsu, SurveyLayout, generate_survey
 from vanetpos.errors import InsufficientAnchors, NoCoverage
 from vanetpos.fit import Polynomial4, evaluate_poly4, filter_near_field, fit_poly4
 from vanetpos.geometry import GlobalPosition, LocalPoint, multilaterate
@@ -23,6 +23,8 @@ from vanetpos.positioning import (
     select_rsus,
     validate_deployment,
 )
+
+from helpers import standard_rsu_row
 
 ORIGIN = GlobalPosition(26.35, 43.97, 600.0)
 
