@@ -11,11 +11,13 @@ data/anchors or no converged fix.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
@@ -210,12 +212,11 @@ def load_scenario(path: str) -> ScenarioConfig:
 
     Every section goes through `_build`. Every malformed value, down to the
     dataclass validators and the deployment rules of
-    `positioning.validate_deployment`, raises ConfigError.
+    `positioning.validate_deployment`, raises ConfigError; a path that
+    cannot be read raises its OSError, as any other unread path does.
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as e:
-        raise ConfigError(f"config not found: {path}") from e
     except ValueError as e:  # a JSONDecodeError, or an int past str limits
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     try:
@@ -252,7 +253,7 @@ def calibrate_polynomial(
     model: ch.ChannelModel,
     cutoff_m: float,
     seed: int,
-) -> Tuple[PolynomialRangeEstimator, Dict[str, float]]:
+) -> PolynomialRangeEstimator:
     """Fit one quartic per RSU from a fresh calibration survey.
 
     Each RSU's samples are built from its survey column only while that
@@ -260,7 +261,6 @@ def calibrate_polynomial(
     """
     survey = ch.generate_survey(layout, model, seed)
     by_rsu: Dict[str, CalibratedPoly] = {}
-    rmse: Dict[str, float] = {}
     for rsu_id in survey.rsu_ids():
         kept = filter_near_field(survey.for_rsu(rsu_id), cutoff_m)
         poly, report = fit_poly4(kept)
@@ -270,8 +270,7 @@ def calibrate_polynomial(
             rss_max_dbm=kept.rss_max,
             rmse_m=report.rmse,
         )
-        rmse[rsu_id] = report.rmse
-    return PolynomialRangeEstimator(by_rsu=by_rsu), rmse
+    return PolynomialRangeEstimator(by_rsu=by_rsu)
 
 
 def calibrate_nn(
@@ -386,23 +385,20 @@ def _in_outage(x: float, outages: Sequence[Tuple[float, float]]) -> bool:
     return any(lo <= x <= hi for lo, hi in outages)
 
 
-def _build_estimator(config: ScenarioConfig) -> RangeEstimator:
+def _build_estimator(config: ScenarioConfig, seed: int) -> RangeEstimator:
     if config.estimator is None:
         raise ConfigError("drive needs an estimator section in the config")
     if config.estimator.kind == "poly":
-        estimator, _ = calibrate_polynomial(
-            config.layout, config.channel, config.estimator.cutoff_m, config.seed
+        return calibrate_polynomial(
+            config.layout, config.channel, config.estimator.cutoff_m, seed
         )
-        return estimator
-    return calibrate_nn(config.layout, config.channel, config.estimator, config.seed)
+    return calibrate_nn(config.layout, config.channel, config.estimator, seed)
 
 
 def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
     config = load_scenario(config_path)
     run_seed = seed if seed is not None else config.seed
-    if seed is not None:
-        config = replace(config, seed=run_seed)
-    estimator = _build_estimator(config)
+    estimator = _build_estimator(config, run_seed)
 
     # the beacons are one more survey of the track, drawn from a stream
     # independent of the calibration survey
@@ -531,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    try:  # by global name, so a wrapper patched over a command sees the call
+    try:
+        if not Path(args.out).parent.is_dir():  # fail before any work
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+        # by global name, so a wrapper patched over a command sees the call
         if args.command == "survey":
             return cmd_survey(args.config, args.seed, args.out)
         if args.command == "fit":

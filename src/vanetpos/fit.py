@@ -19,8 +19,8 @@ from .channel import RssSample
 from .errors import RankDeficient, TooFewSamples
 from .metrics import FitReport, goodness_of_fit
 
-_MIN_PAIRS = 5
 _N_COEFFS = 5
+_MIN_PAIRS = _N_COEFFS + 1  # the fit's RMSE needs n > k
 
 
 @dataclass(frozen=True)

@@ -101,22 +101,17 @@ def goodness_of_fit(
     return fit_report_from_summary(sse, 1.0 - sse / sst, n, k)
 
 
-def adjusted_r_square(r_square: float, n: int, k: int) -> float:
-    """Degrees-of-freedom-adjusted R-squared."""
-    _check_dof(n, k)
-    return 1.0 - (1.0 - r_square) * (n - 1) / (n - k)
-
-
 def fit_report_from_summary(sse: float, r_square: float, n: int, k: int) -> FitReport:
     """Rebuild a FitReport from summary numbers (SSE, R-squared).
 
-    The one place a FitReport's adjusted R-squared and its n-k RMSE are
-    computed; `goodness_of_fit` builds its report here too.
+    The one place a FitReport is built, with its (n-1)/(n-k) adjusted
+    R-squared and its n-k RMSE; `goodness_of_fit` builds its report here.
     """
+    _check_dof(n, k)
     return FitReport(
         sse=sse,
         r_square=r_square,
-        adj_r_square=adjusted_r_square(r_square, n, k),
+        adj_r_square=1.0 - (1.0 - r_square) * (n - 1) / (n - k),
         rmse=math.sqrt(sse / (n - k)),
         n=n,
         k=k,

@@ -93,9 +93,6 @@ class PolynomialRangeEstimator:
 
     by_rsu: Dict[str, CalibratedPoly]
 
-    def rmse_for(self, rsu_ids: Sequence[str]) -> float:
-        return max(self.by_rsu[r].rmse_m for r in rsu_ids)
-
 
 @dataclass(frozen=True)
 class NnPositionEstimator:
@@ -217,17 +214,17 @@ def _locate_polynomial(
     policy: SelectionPolicy,
     hint: Optional[LocalPoint],
 ) -> Tuple[LocalPoint, Tuple[str, ...], float]:
-    usable = [b for b in beacons if b.rsu.id in estimator.by_rsu]
-    estimates = {
-        b.rsu.id: rss_to_range(estimator.by_rsu[b.rsu.id], b.rss_dbm)
-        for b in usable
-    }
     # deprioritize anchors inside the near-field chaos zone or outside
     # their calibrated RSS domain; use them only to reach the minimum count
+    ranges_m: Dict[str, float] = {}
     good: List[Beacon] = []
     bad: List[Beacon] = []
-    for b in usable:
-        range_m, clamped = estimates[b.rsu.id]
+    for b in beacons:
+        cal = estimator.by_rsu.get(b.rsu.id)
+        if cal is None:
+            continue
+        range_m, clamped = rss_to_range(cal, b.rss_dbm)
+        ranges_m[b.rsu.id] = range_m
         if not clamped and range_m >= policy.near_field_m:
             good.append(b)
         else:
@@ -235,10 +232,9 @@ def _locate_polynomial(
     selected, degraded = select_rsus(good, bad, policy)
 
     ranges = [
-        AnchorRange(anchor=b.rsu.position, range_m=estimates[b.rsu.id][0])
+        AnchorRange(anchor=b.rsu.position, range_m=ranges_m[b.rsu.id])
         for b in selected
     ]
-    any_clamped = any(estimates[b.rsu.id][1] for b in selected)
 
     core = policy.min_rsu_count
     if len(ranges) > core:
@@ -251,8 +247,8 @@ def _locate_polynomial(
         local = multilaterate(ranges, hint=hint)
 
     used = tuple(b.rsu.id for b in selected)
-    quality = estimator.rmse_for(used)
-    if any_clamped or degraded:
+    quality = max(estimator.by_rsu[r].rmse_m for r in used)
+    if degraded:  # the only way a clamped (bad) RSU is selected
         quality *= 2.0
     return local, used, quality
 
@@ -296,13 +292,11 @@ def locate(
 
     DGPS wins whenever satellites and corrections are both available;
     otherwise the RSS path selects RSUs per the policy (`select_rsus`) and
-    applies the estimator. Quality is the estimator's calibration RMSE,
-    doubled when the fix is degraded:
+    applies the estimator. Quality is the calibration RMSE (polynomial:
+    the worst of the selected RSUs'), doubled when the fix is degraded:
 
-    - polynomial: a selected RSU's RSS was clamped to its calibration
-      domain or its range to 0 m; or `select_rsus` fell back, because too
-      few good RSUs are on mutually non-overlapping channels or too few
-      are good at all (near-field or clamped RSUs then make up the count)
+    - polynomial: `select_rsus` fell back, to good RSUs on overlapping
+      channels or to bad ones (near field, or clamped by `rss_to_range`)
     - nn: the estimate was clamped to the calibrated segment
     """
     if gps.satellites_ok and gps.dgps_corrections:

@@ -261,10 +261,10 @@ class TestCriterion8FitRecovery:
 class TestCriterion9EndToEndDrive:
     def test_drive_switches_sources_and_bounds_error(self, tmp_path, capsys):
         config = load_scenario(CONFIGS / "drive.json")
-        _, rmse_by_rsu = calibrate_polynomial(
+        est = calibrate_polynomial(
             config.layout, config.channel, config.estimator.cutoff_m, config.seed
         )
-        calibration_rmse = max(rmse_by_rsu.values())
+        calibration_rmse = max(c.rmse_m for c in est.by_rsu.values())
 
         out_a = tmp_path / "trace_a.csv"
         out_b = tmp_path / "trace_b.csv"

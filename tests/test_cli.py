@@ -300,6 +300,42 @@ def test_unreadable_or_unwritable_path_exit_2_one_line(
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "drive"])
+def test_out_in_missing_directory_exit_2_before_any_work(
+    command, exp2_csv, tmp_path, capsys, monkeypatch
+):
+    # sweep trained all 180 networks, and drive calibrated and drove,
+    # before the write of --out failed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(nn, "sweep", no_work)
+    monkeypatch.setattr(cli, "calibrate_polynomial", no_work)
+    out = tmp_path / "missing" / "out.csv"
+    argv = {
+        "sweep": ["sweep", exp2_csv, "--out", out],
+        "drive": ["drive", "--config", CONFIGS / "drive.json", "--out", out],
+    }[command]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["survey", "drive"])
+def test_missing_config_exit_2_one_error_line_naming_it(command, tmp_path, capsys):
+    # a missing --config gets the same `error:` line as any unread path
+    config = tmp_path / "nope.json"
+    code, _, err = run(
+        [command, "--config", config, "--out", tmp_path / "x.csv"], capsys
+    )
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno 2] ")
+    assert str(config) in lines[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestFitCommand:
     def test_fit_writes_full_report(self, exp2_csv, tmp_path, capsys):
         report_path = tmp_path / "fit.json"
@@ -365,6 +401,31 @@ class TestFitCommand:
         code, _, err = run(["fit", survey, "--rsu", "ap0", "--out", out], capsys)
         assert code == 3
         assert err.splitlines() == ["error: need >= 5 distinct RSS values, got 4"]
+        assert not out.exists()
+
+    def test_five_far_field_samples_exit_3_before_fitting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the quartic's n - k RMSE needs six pairs: five reached np.polyfit
+        # and failed only in the goodness-of-fit report
+        def no_fit(*args, **kwargs):
+            raise AssertionError("np.polyfit called")
+
+        monkeypatch.setattr(np, "polyfit", no_fit)
+        rows = [channel.SURVEY_CSV_HEADER]
+        rows += [f"{5.0 * i:.4f},ap0,{-40.0 - i:.4f},{10.0 + 5.0 * i:.4f},1" for i in range(4)]
+        rows += [
+            f"{100.0 + 5.0 * i:.4f},ap0,{-70.0 - i:.4f},{100.0 + 5.0 * i:.4f},1"
+            for i in range(5)
+        ]
+        survey = tmp_path / "five.csv"
+        survey.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "x.json"
+        code, _, err = run(["fit", survey, "--rsu", "ap0", "--out", out], capsys)
+        assert code == 3
+        assert err.splitlines() == [
+            "error: only 5 samples at distance >= 60.0 m (need 6)"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

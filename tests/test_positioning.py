@@ -313,8 +313,8 @@ class TestLocate:
             near_sigma_db=0.0,
             rss_floor_dbm=-130.0,
         )
-        est, rmses = calibrate_polynomial(layout, model, 60.0, seed=1)
-        threshold = 2.0 * max(rmses.values())
+        est = calibrate_polynomial(layout, model, 60.0, seed=1)
+        threshold = 2.0 * max(c.rmse_m for c in est.by_rsu.values())
         for x in (75.0, 105.0, 130.0, 220.0):
             truth = layout.vehicle_point(x)
             beacons = []
@@ -337,6 +337,16 @@ class TestLocate:
             locate(
                 GpsStatus(False, False, None),
                 [beacon("a", 0.0, 1, -80.0)],
+                self.estimator_three_rsus(),
+                self.policy(),
+                ORIGIN,
+            )
+
+    def test_uncalibrated_rsu_is_heard_but_never_ranged(self):
+        with pytest.raises(InsufficientAnchors, match="^1 calibrated RSUs heard"):
+            locate(
+                GpsStatus(False, False, None),
+                [beacon("a", 0.0, 1, -80.0), beacon("z", 150.0, 7, -80.0)],
                 self.estimator_three_rsus(),
                 self.policy(),
                 ORIGIN,
