@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -36,14 +36,15 @@ from .errors import (
     VanetPosError,
 )
 from .fit import filter_near_field, fit_poly4
-from .geometry import GlobalPosition, LocalPoint, to_global
+from .geometry import GlobalPosition, LocalPoint, _check_latitudes, to_global
 from .positioning import (
     Beacon,
     CalibratedPoly,
+    FixSource,
     GpsStatus,
     NnPositionEstimator,
     PolynomialRangeEstimator,
-    RangeEstimator,
+    PositionFix,
     SelectionPolicy,
     locate,
     validate_deployment,
@@ -78,6 +79,8 @@ class EstimatorSpec:
             raise ValueError(
                 f"estimator.kind must be 'poly' or 'nn', got {self.kind!r}"
             )
+        if self.cutoff_m < 0:
+            raise ValueError("estimator.cutoff_m must be >= 0")
         if self.hidden < 1:
             raise ValueError("estimator.hidden must be >= 1")
         if self.train_seed < 0:
@@ -106,6 +109,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("scenario.seed must be >= 0")
+        _check_latitudes(self.origin)  # the local frame's own rule
         for lo, hi in self.gps_outages:
             if lo > hi or lo < self.layout.start_m or hi > self.layout.end_m:
                 raise ValueError(
@@ -371,60 +375,52 @@ def cmd_sweep(
         seeds=tuple(range(n_seeds)),
         train=nn.TrainConfig(),
     )
-    table = nn.sweep(dataset, config)
-    lines = [SWEEP_CSV_HEADER] + [_sweep_row_to_csv(r) for r in table.rows]
+    rows = nn.sweep(dataset, config)
+    lines = [SWEEP_CSV_HEADER] + [_sweep_row_to_csv(r) for r in rows]
     Path(out_csv).write_text("\n".join(lines) + "\n")
-    print(f"swept {len(table.rows)} models -> {out_csv}")
+    print(f"swept {len(rows)} models -> {out_csv}")
     print(SWEEP_CSV_HEADER)
-    for row in table.rows[:5]:
+    for row in rows[:5]:
         print(_sweep_row_to_csv(row))
     return 0
 
 
-def _in_outage(x: float, outages: Sequence[Tuple[float, float]]) -> bool:
-    return any(lo <= x <= hi for lo, hi in outages)
+def drive(config: ScenarioConfig, seed: int) -> Iterator[Tuple[float, PositionFix]]:
+    """Run the simulated drive: one `(x_m, fix)` pair per survey position.
 
-
-def _build_estimator(config: ScenarioConfig, seed: int) -> RangeEstimator:
+    The estimator is calibrated on a fresh survey drawn from `seed`. A
+    position inside an outage gets an RSS fix, any other the DGPS truth;
+    each fix is the next one's hint. A step without a fix raises its error,
+    named by the step's x.
+    """
     if config.estimator is None:
         raise ConfigError("drive needs an estimator section in the config")
     if config.estimator.kind == "poly":
-        return calibrate_polynomial(
+        estimator = calibrate_polynomial(
             config.layout, config.channel, config.estimator.cutoff_m, seed
         )
-    return calibrate_nn(config.layout, config.channel, config.estimator, seed)
-
-
-def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
-    config = load_scenario(config_path)
-    run_seed = seed if seed is not None else config.seed
-    estimator = _build_estimator(config, run_seed)
-
+    else:
+        estimator = calibrate_nn(config.layout, config.channel, config.estimator, seed)
     # the beacons are one more survey of the track, drawn from a stream
     # independent of the calibration survey
-    grid = ch.generate_survey(config.layout, config.channel, [run_seed, 1])
+    grid = ch.generate_survey(config.layout, config.channel, [seed, 1])
     # below the receiver sensitivity a beacon is lost
     heard_dbm = config.channel.rss_floor_dbm + 1e-9
-
-    lines = [TRACE_CSV_HEADER]
-    all_errors: List[float] = []
-    outage_errors: List[float] = []
     hint: Optional[LocalPoint] = None
 
-    for step, (x, rss) in enumerate(zip(grid.x_m.tolist(), grid.rss_dbm.tolist())):
-        truth_local = config.layout.vehicle_point(x)
-        sats_ok = not _in_outage(x, config.gps_outages)
+    for x, rss in zip(grid.x_m.tolist(), grid.rss_dbm.tolist()):
+        sats_ok = not any(lo <= x <= hi for lo, hi in config.gps_outages)
+        truth = config.layout.vehicle_point(x)
         gps = GpsStatus(
             satellites_ok=sats_ok,
             dgps_corrections=sats_ok,
-            dgps_position=to_global(truth_local, config.origin) if sats_ok else None,
+            dgps_position=to_global(truth, config.origin) if sats_ok else None,
         )
         beacons = [
             Beacon(rsu=rsu, rss_dbm=r)
             for rsu, r in zip(grid.rsus, rss)
             if r > heard_dbm
         ]
-
         try:
             fix = locate(
                 gps, beacons, estimator, config.policy, config.origin, hint=hint
@@ -432,19 +428,26 @@ def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
         except VanetPosError as e:  # name the step; `main` picks the code
             raise type(e)(f"at x={x}: {e}") from e
         hint = fix.local_position
+        yield x, fix
 
-        x_est = f"{fix.local_position.x_m:.4f}"
-        y_est = f"{fix.local_position.y_m:.4f}"
-        abs_err = f"{abs(fix.local_position.x_m - truth_local.x_m):.4f}"
-        quality = f"{fix.quality_m:.4f}"
+
+def cmd_drive(config_path: str, out_csv: str, seed: Optional[int]) -> int:
+    config = load_scenario(config_path)
+    lines = [TRACE_CSV_HEADER]
+    all_errors: List[float] = []
+    outage_errors: List[float] = []
+    steps = drive(config, seed if seed is not None else config.seed)
+    for step, (x, fix) in enumerate(steps):
+        est = fix.local_position
+        # the summary averages the errors as the trace writes them
+        err = round(abs(est.x_m - x), 4)
         lines.append(
-            f"{step},{x:.4f},{x_est},{y_est},{fix.source.value},"
-            f"{';'.join(fix.used_rsu_ids)},{quality},{abs_err}"
+            f"{step},{x:.4f},{est.x_m:.4f},{est.y_m:.4f},{fix.source.value},"
+            f"{';'.join(fix.used_rsu_ids)},{fix.quality_m:.4f},{err:.4f}"
         )
-        err_val = float(abs_err)
-        all_errors.append(err_val)
-        if not sats_ok:
-            outage_errors.append(err_val)
+        all_errors.append(err)
+        if fix.source is FixSource.RSS:  # DGPS is lost exactly in an outage
+            outage_errors.append(err)
 
     Path(out_csv).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(all_errors)} trace rows to {out_csv}")

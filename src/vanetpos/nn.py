@@ -142,14 +142,6 @@ class SweepRow:
     all: MetricsReport
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: Tuple[SweepRow, ...]
-
-    def best(self) -> SweepRow:
-        return self.rows[0]
-
-
 def split_dataset(n: int, seed: int) -> SplitIndices:
     """Shuffled 70/15/15 split; validation and test take floor(0.15 n) each."""
     if n < 7:
@@ -440,7 +432,7 @@ def dataset_from_columns(samples) -> NnDataset:
     )
 
 
-def sweep(dataset: NnDataset, config: SweepConfig) -> SweepTable:
+def sweep(dataset: NnDataset, config: SweepConfig) -> Tuple[SweepRow, ...]:
     """Train the full (hidden size x seed) grid and rank the results.
 
     Sorted by MSE over all samples, then max absolute error over all
@@ -468,8 +460,7 @@ def sweep(dataset: NnDataset, config: SweepConfig) -> SweepTable:
     results.sort(
         key=lambda r: (r[3].mse, r[3].max_abs_error, r[0], r[1])
     )
-    rows = tuple(
+    return tuple(
         SweepRow(rank=i + 1, hidden=h, seed=s, test=t, all=a)
         for i, (h, s, t, a) in enumerate(results)
     )
-    return SweepTable(rows=rows)

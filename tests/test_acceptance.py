@@ -117,8 +117,8 @@ class TestCriterion5InterferenceDegradation:
             ),
             config,
         )
-        clean_err = clean.best().all.max_abs_error
-        dirty_err = dirty.best().all.max_abs_error
+        clean_err = clean[0].all.max_abs_error
+        dirty_err = dirty[0].all.max_abs_error
         assert dirty_err >= 3.0 * clean_err
         report(
             "criterion-5",

@@ -12,6 +12,7 @@ import pytest
 
 from vanetpos import channel, cli, nn
 from vanetpos.cli import load_scenario, main
+from vanetpos.positioning import FixSource
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -126,6 +127,8 @@ class TestSurveyCommand:
             (("channel",), "far_sigma_db", 10**400, "far_sigma_db"),
             (("scenario",), "seed", -1, "scenario.seed"),
             (("estimator",), "train_seed", -1, "estimator.train_seed"),
+            (("estimator",), "cutoff_m", -5, "estimator.cutoff_m"),
+            (("scenario", "origin"), "latitude_deg", 89.5, "latitude"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
@@ -133,7 +136,8 @@ class TestSurveyCommand:
             "rsus-not-list", "duplicate-rsu-id", "rsus-20m-apart", "zero-hidden",
             "zero-patience", "fractional-hidden", "string-bool",
             "removed-beacon-interval", "nan-sigma", "huge-int-sigma",
-            "negative-seed", "negative-train-seed",
+            "negative-seed", "negative-train-seed", "negative-cutoff",
+            "polar-origin",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -761,6 +765,36 @@ class TestDriveCommand:
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert all(r[4] == "DGPS" for r in rows)
         assert all(float(r[7]) == 0.0 for r in rows)
+
+    def test_drive_yields_each_fix_and_hints_the_next_with_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = load_scenario(str(CONFIGS / "drive.json"))
+        hints, fixes = [], []
+        real = cli.locate
+
+        def recording(*args, hint):
+            hints.append(hint)
+            fixes.append(real(*args, hint=hint))
+            return fixes[-1]
+
+        monkeypatch.setattr(cli, "locate", recording)
+        monkeypatch.chdir(tmp_path)
+        steps = list(cli.drive(config, config.seed))
+        assert [x for x, _ in steps] == config.layout.positions().tolist()
+        assert [fix for _, fix in steps] == fixes
+        assert hints[0] is None
+        assert all(h is f.local_position for h, f in zip(hints[1:], fixes))
+        sources = [
+            FixSource.RSS
+            if any(lo <= x <= hi for lo, hi in config.gps_outages)
+            else FixSource.DGPS
+            for x, _ in steps
+        ]
+        assert [fix.source for _, fix in steps] == sources
+        assert set(sources) == {FixSource.RSS, FixSource.DGPS}
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr() == ("", "")
 
     @staticmethod
     def nn_drive(tmp_path, capsys):

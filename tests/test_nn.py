@@ -346,8 +346,8 @@ class TestSweep:
             hidden_sizes=(2, 3), seeds=(0, 1), train=TrainConfig(max_epochs=50)
         )
         table = sweep(ds, config)
-        assert len(table.rows) == 4
-        assert {(r.hidden, r.seed) for r in table.rows} == {
+        assert len(table) == 4
+        assert {(r.hidden, r.seed) for r in table} == {
             (2, 0), (2, 1), (3, 0), (3, 1)
         }
 
@@ -357,10 +357,10 @@ class TestSweep:
             hidden_sizes=(2, 4, 6), seeds=(0, 1, 2), train=TrainConfig(max_epochs=60)
         )
         table = sweep(ds, config)
-        mses = [r.all.mse for r in table.rows]
+        mses = [r.all.mse for r in table]
         assert mses == sorted(mses)
-        assert table.best().all.mse == min(mses)
-        assert [r.rank for r in table.rows] == list(range(1, len(mses) + 1))
+        assert table[0].all.mse == min(mses)
+        assert [r.rank for r in table] == list(range(1, len(mses) + 1))
 
     def test_deterministic(self):
         ds = self.survey_dataset()
@@ -400,12 +400,12 @@ class TestSweep:
                 sweep(ds, config)
         assert calls == []
         ds = NnDataset(full.inputs[:14], full.targets[:14], full.feature_names)
-        assert len(sweep(ds, config).rows) == 1
+        assert len(sweep(ds, config)) == 1
         assert len(calls) == 1
 
     def test_no_seeds_gives_empty_table(self):
         config = SweepConfig(hidden_sizes=(2, 3), seeds=())
-        assert sweep(self.survey_dataset(), config).rows == ()
+        assert sweep(self.survey_dataset(), config) == ()
 
     def test_default_grid_is_180_jobs(self):
         config = SweepConfig()
@@ -431,7 +431,7 @@ class TestStackedTrainer:
         config = SweepConfig(
             hidden_sizes=(2, 3), seeds=(0, 1, 2, 3), train=TrainConfig(max_epochs=60)
         )
-        rows = {(r.hidden, r.seed): r for r in sweep(ds, config).rows}
+        rows = {(r.hidden, r.seed): r for r in sweep(ds, config)}
         epochs = []
         for hidden in config.hidden_sizes:
             for seed in config.seeds:
