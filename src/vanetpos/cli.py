@@ -411,17 +411,17 @@ def drive(config: ScenarioConfig, seed: int) -> Iterator[Tuple[float, PositionFi
     for x, rss in zip(grid.x_m.tolist(), grid.rss_dbm.tolist()):
         sats_ok = not any(lo <= x <= hi for lo, hi in config.gps_outages)
         truth = config.layout.vehicle_point(x)
-        gps = GpsStatus(
-            satellites_ok=sats_ok,
-            dgps_corrections=sats_ok,
-            dgps_position=to_global(truth, config.origin) if sats_ok else None,
-        )
         beacons = [
             Beacon(rsu=rsu, rss_dbm=r)
             for rsu, r in zip(grid.rsus, rss)
             if r > heard_dbm
         ]
         try:
+            gps = GpsStatus(
+                satellites_ok=sats_ok,
+                dgps_corrections=sats_ok,
+                dgps_position=to_global(truth, config.origin) if sats_ok else None,
+            )
             fix = locate(
                 gps, beacons, estimator, config.policy, config.origin, hint=hint
             )

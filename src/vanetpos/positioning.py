@@ -14,9 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .channel import Rsu, channels_overlap
+from .channel import WIFI_CHANNEL_MAX, WIFI_CHANNEL_MIN, Rsu, channels_overlap
 from .errors import InsufficientAnchors, NoCoverage
 from .fit import Polynomial4, evaluate_poly4
 from .geometry import (
@@ -143,41 +143,56 @@ def validate_deployment(rsus: Sequence[Rsu], policy: SelectionPolicy) -> None:
             )
 
 
-def _sorted_weakest_first(beacons: Sequence[Beacon]) -> List[Beacon]:
-    return sorted(beacons, key=lambda b: (b.rss_dbm, b.rsu.id))
+# bit o of _BLOCKS[c] is set when channel o overlaps channel c
+_CHANNELS = range(WIFI_CHANNEL_MIN, WIFI_CHANNEL_MAX + 1)
+_BLOCKS = {
+    c: sum(1 << o for o in _CHANNELS if channels_overlap(c, o)) for c in _CHANNELS
+}
 
 
 def select_rsus(
-    good: Sequence[Beacon], bad: Sequence[Beacon], policy: SelectionPolicy
+    beacons: Sequence[Beacon],
+    is_good: Callable[[Beacon], bool],
+    policy: SelectionPolicy,
 ) -> Tuple[List[Beacon], bool]:
     """Pick the anchors of one fix, farthest (weakest RSS) first.
 
-    `bad` beacons (near field or clamped) only make up a shortfall of
-    `good` ones. Returns the selection and a degraded flag. Not degraded:
-    every good beacon the weakest-first greedy pass keeps on mutually
-    non-overlapping channels (all of them if the channel rule is off), when
-    that reaches `min_rsu_count`. Else, degraded: the `min_rsu_count`
-    weakest good beacons, or, with too few good ones, `good` in heard order
-    topped up with the weakest bad ones.
+    `beacons` are the calibrated ones, as heard; `is_good(b)` ranges `b`
+    and says whether it is clear of the near field and of any clamp. Not
+    degraded: every good beacon the weakest-first greedy pass keeps on
+    mutually non-overlapping channels (all if the channel rule is off),
+    when that reaches `min_rsu_count`; a beacon on a channel blocked by an
+    earlier pick is never ranged. Else, degraded: the `min_rsu_count`
+    weakest good beacons, or the good as heard topped up with the weakest
+    bad ones. No beacon is ranged twice.
     """
     needed = policy.min_rsu_count
-    if len(good) + len(bad) < needed:
+    if len(beacons) < needed:
         raise InsufficientAnchors(
-            f"{len(good) + len(bad)} calibrated RSUs heard, need {needed}"
+            f"{len(beacons)} calibrated RSUs heard, need {needed}"
         )
-    ordered = _sorted_weakest_first(good)
-    picked = ordered
-    if policy.require_distinct_channels:
-        picked = []
-        for b in ordered:
-            if all(not channels_overlap(b.rsu.channel, p.rsu.channel) for p in picked):
-                picked.append(b)
+    ordered = sorted(beacons, key=lambda b: (b.rss_dbm, b.rsu.id))
+    picked: List[Beacon] = []
+    bad: List[Beacon] = []
+    blocked = 0
+    for b in ordered:
+        if blocked >> b.rsu.channel & 1:
+            continue
+        if is_good(b):
+            picked.append(b)
+            if policy.require_distinct_channels:
+                blocked |= _BLOCKS[b.rsu.channel]
+        else:
+            bad.append(b)
     if len(picked) >= needed:
         return picked, False
+    # range what the pass skipped; `good` stays weakest first
+    good = [b for b in ordered if b in picked or (b not in bad and is_good(b))]
     if len(good) >= needed:
-        return ordered[:needed], True
+        return good[:needed], True
     # anchor order changes multilaterate's rounding: keep good as heard
-    return list(good) + _sorted_weakest_first(bad)[: needed - len(good)], True
+    weakest_bad = [b for b in ordered if b not in good]
+    return [b for b in beacons if b in good] + weakest_bad[: needed - len(good)], True
 
 
 def rss_to_range(cal: CalibratedPoly, rss_dbm: float) -> Tuple[float, bool]:
@@ -217,19 +232,14 @@ def _locate_polynomial(
     # deprioritize anchors inside the near-field chaos zone or outside
     # their calibrated RSS domain; use them only to reach the minimum count
     ranges_m: Dict[str, float] = {}
-    good: List[Beacon] = []
-    bad: List[Beacon] = []
-    for b in beacons:
-        cal = estimator.by_rsu.get(b.rsu.id)
-        if cal is None:
-            continue
-        range_m, clamped = rss_to_range(cal, b.rss_dbm)
+
+    def is_good(b: Beacon) -> bool:
+        range_m, clamped = rss_to_range(estimator.by_rsu[b.rsu.id], b.rss_dbm)
         ranges_m[b.rsu.id] = range_m
-        if not clamped and range_m >= policy.near_field_m:
-            good.append(b)
-        else:
-            bad.append(b)
-    selected, degraded = select_rsus(good, bad, policy)
+        return not clamped and range_m >= policy.near_field_m
+
+    calibrated = [b for b in beacons if b.rsu.id in estimator.by_rsu]
+    selected, degraded = select_rsus(calibrated, is_good, policy)
 
     ranges = [
         AnchorRange(anchor=b.rsu.position, range_m=ranges_m[b.rsu.id])

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanetpos import channel, cli, nn
+from vanetpos import channel, cli, nn, positioning
 from vanetpos.cli import load_scenario, main
+from vanetpos.errors import VanetPosError
 from vanetpos.positioning import FixSource
+
+from helpers import reference_select_rsus
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -795,6 +798,75 @@ class TestDriveCommand:
         assert set(sources) == {FixSource.RSS, FixSource.DGPS}
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr() == ("", "")
+
+    def test_polar_dgps_step_exit_2_named_by_its_x(self, tmp_path, capsys):
+        # the origin passes the 89 degree rule, but the lane's 7 m offset
+        # carries the first DGPS truth past it
+        cfg = json.loads((CONFIGS / "drive.json").read_text())
+        cfg["scenario"]["origin"]["latitude_deg"] = 88.99999
+        path = tmp_path / "polar.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        code, _, err = run(["drive", "--config", path, "--out", out], capsys)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: at x=0.0:"), lines
+        assert not out.exists()
+
+    @staticmethod
+    def steps_and_ranges(config):
+        """Every (x, fix) of a drive, its error if one ends it, and the
+        number of `rss_to_range` calls."""
+        calls = []
+        real = positioning.rss_to_range
+
+        def counting(cal, rss_dbm):
+            calls.append(rss_dbm)
+            return real(cal, rss_dbm)
+
+        steps, error = [], None
+        positioning.rss_to_range = counting
+        try:
+            for step in cli.drive(config, config.seed):
+                steps.append(step)
+        except VanetPosError as e:
+            error = str(e)
+        finally:
+            positioning.rss_to_range = real
+        return steps, error, len(calls)
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    @pytest.mark.parametrize("min_rsu_count", [2, 3])
+    def test_selection_ranges_fewer_beacons_for_the_same_fixes(
+        self, tmp_path, monkeypatch, min_rsu_count, distinct
+    ):
+        heard = []  # calibrated beacons of each step that selected
+
+        def ranging_every_beacon(beacons, is_good, policy):
+            good, bad = [], []
+            for b in beacons:
+                (good if is_good(b) else bad).append(b)
+            selection = reference_select_rsus(good, bad, policy)
+            heard.append(len(beacons))
+            return selection
+
+        for channel_seed in range(3):
+            cfg = corridor_config(11, channel_seed, min_rsu_count)
+            cfg["scenario"]["policy"]["require_distinct_channels"] = distinct
+            path = tmp_path / "corridor.json"
+            path.write_text(json.dumps(cfg))
+            config = load_scenario(str(path))
+            steps, error, ranged = self.steps_and_ranges(config)
+            heard.clear()
+            with monkeypatch.context() as m:
+                m.setattr(positioning, "select_rsus", ranging_every_beacon)
+                expected, expected_error, _ = self.steps_and_ranges(config)
+            assert steps == expected and error == expected_error, channel_seed
+            assert len(steps) > 0 and sum(heard) > 0
+            if distinct:
+                assert ranged < sum(heard), channel_seed
+            else:
+                assert ranged == sum(heard), channel_seed
 
     @staticmethod
     def nn_drive(tmp_path, capsys):

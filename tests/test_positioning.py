@@ -3,8 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vanetpos.channel import ChannelModel, Rsu, SurveyLayout, generate_survey
+from vanetpos.channel import (
+    ChannelModel,
+    Rsu,
+    SurveyLayout,
+    channels_overlap,
+    generate_survey,
+)
 from vanetpos.errors import InsufficientAnchors, NoCoverage
 from vanetpos.fit import Polynomial4, evaluate_poly4, filter_near_field, fit_poly4
 from vanetpos.geometry import GlobalPosition, LocalPoint, multilaterate
@@ -24,7 +32,7 @@ from vanetpos.positioning import (
     validate_deployment,
 )
 
-from helpers import standard_rsu_row
+from helpers import reference_select_rsus, standard_rsu_row
 
 ORIGIN = GlobalPosition(26.35, 43.97, 600.0)
 
@@ -50,6 +58,12 @@ def rss_for_distance(d):
     return -(d + 90.0) / 3.0
 
 
+def select(good, bad, policy):
+    """`select_rsus` over beacons already judged: `good` as heard, then `bad`."""
+    good_ids = {b.rsu.id for b in good}
+    return select_rsus([*good, *bad], lambda b: b.rsu.id in good_ids, policy)
+
+
 class TestSelectRsus:
     def test_prefers_weakest_on_distinct_channels(self):
         beacons = [
@@ -58,7 +72,7 @@ class TestSelectRsus:
             beacon("c", 200.0, 13, -85.0),
             beacon("d", 300.0, 2, -60.0),  # overlaps a; weaker, so it wins
         ]
-        selected, degraded = select_rsus(beacons, [], SelectionPolicy())
+        selected, degraded = select(beacons, [], SelectionPolicy())
         assert [b.rsu.id for b in selected] == ["c", "b", "d"]
         assert degraded is False
 
@@ -68,14 +82,14 @@ class TestSelectRsus:
             beacon("b", 100.0, 6, -60.0),
             beacon("c", 200.0, 11, -50.0),
         ]
-        selected, degraded = select_rsus(beacons, [], SelectionPolicy())
+        selected, degraded = select(beacons, [], SelectionPolicy())
         # the weaker of the channel-6 pair plus channel 11
         assert [b.rsu.id for b in selected] == ["a", "c"]
         assert degraded is False
 
     def test_insufficient(self):
         with pytest.raises(InsufficientAnchors, match="1 calibrated RSUs heard, need 2"):
-            select_rsus([beacon("a", 0.0, 1, -60.0)], [], SelectionPolicy())
+            select([beacon("a", 0.0, 1, -60.0)], [], SelectionPolicy())
 
     def test_fallback_when_channels_collide(self):
         beacons = [
@@ -83,7 +97,7 @@ class TestSelectRsus:
             beacon("a", 0.0, 6, -75.0),
             beacon("c", 200.0, 6, -50.0),
         ]
-        selected, degraded = select_rsus(beacons, [], SelectionPolicy())
+        selected, degraded = select(beacons, [], SelectionPolicy())
         # the two weakest, weakest first
         assert [b.rsu.id for b in selected] == ["a", "b"]
         assert degraded is True
@@ -95,8 +109,8 @@ class TestSelectRsus:
             beacon("c", 200.0, 13, -85.0),
             beacon("d", 300.0, 2, -60.0),
         ]
-        a, _ = select_rsus(beacons, [], SelectionPolicy())
-        b, _ = select_rsus(list(reversed(beacons)), [], SelectionPolicy())
+        a, _ = select(beacons, [], SelectionPolicy())
+        b, _ = select(list(reversed(beacons)), [], SelectionPolicy())
         assert [x.rsu.id for x in a] == [x.rsu.id for x in b]
 
     def test_rss_tie_breaks_on_id(self):
@@ -105,7 +119,7 @@ class TestSelectRsus:
             beacon("a", 0.0, 1, -70.0),
             beacon("c", 200.0, 13, -50.0),
         ]
-        selected, _ = select_rsus(beacons, [], SelectionPolicy())
+        selected, _ = select(beacons, [], SelectionPolicy())
         assert [x.rsu.id for x in selected] == ["a", "c"]
 
     def test_waived_channel_rule_picks_every_good_beacon(self):
@@ -115,7 +129,7 @@ class TestSelectRsus:
             beacon("c", 200.0, 6, -50.0),
         ]
         policy = SelectionPolicy(require_distinct_channels=False)
-        selected, degraded = select_rsus(beacons, [beacon("d", 300.0, 1, -90.0)], policy)
+        selected, degraded = select(beacons, [beacon("d", 300.0, 1, -90.0)], policy)
         assert [b.rsu.id for b in selected] == ["a", "b", "c"]
         assert degraded is False
 
@@ -126,9 +140,66 @@ class TestSelectRsus:
             beacon("q", 300.0, 1, -90.0),
             beacon("r", 400.0, 7, -70.0),
         ]
-        selected, degraded = select_rsus(good, bad, SelectionPolicy(min_rsu_count=4))
+        selected, degraded = select(good, bad, SelectionPolicy(min_rsu_count=4))
         assert [b.rsu.id for b in selected] == ["x", "y", "q", "r"]
         assert degraded is True
+
+
+@st.composite
+def judged_beacons(draw):
+    """Beacons as heard, with tied RSS and ids out of heard order, plus the
+    ids of the good ones."""
+    n = draw(st.integers(0, 9))
+    tied_rss = st.integers(-95, -90).map(float)
+    ids = draw(st.permutations([f"r{i}" for i in range(n)]))
+    beacons = [
+        beacon(rsu_id, 100.0 * k, draw(st.integers(1, 13)), draw(tied_rss))
+        for k, rsu_id in enumerate(ids)
+    ]
+    good_ids = {b.rsu.id for b in beacons if draw(st.booleans())}
+    return beacons, good_ids
+
+
+class TestSelectRsusAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(judged_beacons(), st.integers(2, 4), st.booleans())
+    def test_same_selection_ranging_only_what_it_can_pick(
+        self, judged, needed, distinct
+    ):
+        beacons, good_ids = judged
+        policy = SelectionPolicy(
+            min_rsu_count=needed, require_distinct_channels=distinct
+        )
+        ranged = []
+
+        def is_good(b):
+            ranged.append(b)
+            return b.rsu.id in good_ids
+
+        good = [b for b in beacons if b.rsu.id in good_ids]
+        bad = [b for b in beacons if b.rsu.id not in good_ids]
+        try:
+            expected, expected_degraded = reference_select_rsus(good, bad, policy)
+        except InsufficientAnchors as e:
+            with pytest.raises(InsufficientAnchors, match=f"^{e}$"):
+                select_rsus(beacons, is_good, policy)
+            assert ranged == []
+            return
+        selected, degraded = select_rsus(beacons, is_good, policy)
+        assert len(selected) == len(expected)
+        assert all(a is b for a, b in zip(selected, expected))
+        assert degraded is expected_degraded
+        ids = [b.rsu.id for b in ranged]
+        assert len(ids) == len(set(ids))  # no beacon ranged twice
+        if degraded or not distinct:
+            assert set(ids) == {b.rsu.id for b in beacons}
+            return
+        # a clean selection never ranges a beacon an earlier pick blocks
+        for k, b in enumerate(ranged):
+            earlier_picks = [p for p in ranged[:k] if p in selected]
+            assert not any(
+                channels_overlap(b.rsu.channel, p.rsu.channel) for p in earlier_picks
+            )
 
 
 class TestRssToRange:
