@@ -157,12 +157,12 @@ def select_rsus(
 ) -> Tuple[List[Beacon], bool]:
     """Pick the anchors of one fix, farthest (weakest RSS) first.
 
-    `beacons` are the calibrated ones, as heard; `is_good(b)` ranges `b`
-    and says whether it is clear of the near field and of any clamp. Not
-    degraded: every good beacon the weakest-first greedy pass keeps on
-    mutually non-overlapping channels (all if the channel rule is off),
-    when that reaches `min_rsu_count`; a beacon on a channel blocked by an
-    earlier pick is never ranged. Else, degraded: the `min_rsu_count`
+    `beacons` are the calibrated ones as heard, one per RSU; `is_good(b)`
+    ranges `b` and says whether it is clear of the near field and of any
+    clamp. Not degraded: every good beacon the weakest-first greedy pass
+    keeps on mutually non-overlapping channels (all if the channel rule is
+    off), when that reaches `min_rsu_count`; a beacon on a channel blocked
+    by an earlier pick is never ranged. Else, degraded: the `min_rsu_count`
     weakest good beacons, or the good as heard topped up with the weakest
     bad ones. No beacon is ranged twice.
     """
@@ -173,26 +173,26 @@ def select_rsus(
         )
     ordered = sorted(beacons, key=lambda b: (b.rss_dbm, b.rsu.id))
     picked: List[Beacon] = []
-    bad: List[Beacon] = []
+    good_by_id: Dict[str, bool] = {}
     blocked = 0
     for b in ordered:
-        if blocked >> b.rsu.channel & 1:
-            continue
-        if is_good(b):
-            picked.append(b)
-            if policy.require_distinct_channels:
-                blocked |= _BLOCKS[b.rsu.channel]
-        else:
-            bad.append(b)
+        if not blocked >> b.rsu.channel & 1:
+            ok = good_by_id[b.rsu.id] = is_good(b)
+            if ok:
+                picked.append(b)
+                if policy.require_distinct_channels:
+                    blocked |= _BLOCKS[b.rsu.channel]
     if len(picked) >= needed:
         return picked, False
-    # range what the pass skipped; `good` stays weakest first
-    good = [b for b in ordered if b in picked or (b not in bad and is_good(b))]
+    for b in ordered:  # range what the pass skipped
+        if b.rsu.id not in good_by_id:
+            good_by_id[b.rsu.id] = is_good(b)
+    good = [b for b in ordered if good_by_id[b.rsu.id]]
     if len(good) >= needed:
         return good[:needed], True
     # anchor order changes multilaterate's rounding: keep good as heard
-    weakest_bad = [b for b in ordered if b not in good]
-    return [b for b in beacons if b in good] + weakest_bad[: needed - len(good)], True
+    top_up = [b for b in ordered if not good_by_id[b.rsu.id]][: needed - len(good)]
+    return [b for b in beacons if good_by_id[b.rsu.id]] + top_up, True
 
 
 def rss_to_range(cal: CalibratedPoly, rss_dbm: float) -> Tuple[float, bool]:
