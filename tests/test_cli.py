@@ -814,7 +814,7 @@ class TestDriveCommand:
         assert not out.exists()
 
     @staticmethod
-    def steps_and_ranges(config):
+    def steps_and_ranges(config, monkeypatch):
         """Every (x, fix) of a drive, its error if one ends it, and the
         number of `rss_to_range` calls."""
         calls = []
@@ -825,14 +825,13 @@ class TestDriveCommand:
             return real(cal, rss_dbm)
 
         steps, error = [], None
-        positioning.rss_to_range = counting
-        try:
-            for step in cli.drive(config, config.seed):
-                steps.append(step)
-        except VanetPosError as e:
-            error = str(e)
-        finally:
-            positioning.rss_to_range = real
+        with monkeypatch.context() as m:
+            m.setattr(positioning, "rss_to_range", counting)
+            try:
+                for step in cli.drive(config, config.seed):
+                    steps.append(step)
+            except VanetPosError as e:
+                error = str(e)
         return steps, error, len(calls)
 
     @pytest.mark.parametrize("distinct", [True, False])
@@ -856,11 +855,11 @@ class TestDriveCommand:
             path = tmp_path / "corridor.json"
             path.write_text(json.dumps(cfg))
             config = load_scenario(str(path))
-            steps, error, ranged = self.steps_and_ranges(config)
+            steps, error, ranged = self.steps_and_ranges(config, monkeypatch)
             heard.clear()
             with monkeypatch.context() as m:
                 m.setattr(positioning, "select_rsus", ranging_every_beacon)
-                expected, expected_error, _ = self.steps_and_ranges(config)
+                expected, expected_error, _ = self.steps_and_ranges(config, monkeypatch)
             assert steps == expected and error == expected_error, channel_seed
             assert len(steps) > 0 and sum(heard) > 0
             if distinct:
