@@ -407,11 +407,15 @@ def drive(config: ScenarioConfig, seed: int) -> Iterator[Tuple[float, PositionFi
     # below the receiver sensitivity a beacon is lost
     heard_dbm = config.channel.rss_floor_dbm + 1e-9
     hint: Optional[LocalPoint] = None
+    in_outage = np.zeros(grid.x_m.shape, dtype=bool)
+    for lo, hi in config.gps_outages:
+        in_outage |= (lo <= grid.x_m) & (grid.x_m <= hi)
 
-    for x, rss in zip(grid.x_m.tolist(), grid.rss_dbm.tolist()):
-        sats_ok = not any(lo <= x <= hi for lo, hi in config.gps_outages)
+    for x, rss, sats_ok in zip(
+        grid.x_m.tolist(), grid.rss_dbm.tolist(), (~in_outage).tolist()
+    ):
         truth = config.layout.vehicle_point(x)
-        beacons = [
+        beacons = () if sats_ok else [  # a DGPS fix reads no beacon
             Beacon(rsu=rsu, rss_dbm=r)
             for rsu, r in zip(grid.rsus, rss)
             if r > heard_dbm

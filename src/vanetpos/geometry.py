@@ -192,45 +192,53 @@ def _gauss_newton(
     Raises NoConvergence only if none of those trigger. Runs on scalar floats
     with a closed-form 2x2 solve (the damped determinant is at least
     lam * trace > 0), so it is not bitwise equal to numpy's LAPACK path.
+    Each point is evaluated once: a trial also sums the normal equations
+    (with the clamped objective) that the next iteration takes if it wins.
     """
     lam = 1e-3
     stagnant = 0
+    prev_obj = n00 = n01 = n11 = g0 = g1 = 0.0
+    for ax, ay, dz2, r in terms:
+        dx, dy = px - ax, py - ay
+        dist = max(math.sqrt(dx * dx + dy * dy + dz2), 1e-12)
+        res = dist - r
+        prev_obj += res * res
+        jx, jy = dx / dist, dy / dist
+        n00, n01, n11 = n00 + jx * jx, n01 + jx * jy, n11 + jy * jy
+        g0, g1 = g0 + jx * res, g1 + jy * res
     for _ in range(_GN_MAX_ITERS):
-        prev_obj = n00 = n01 = n11 = g0 = g1 = 0.0
-        for ax, ay, dz2, r in terms:
-            dx, dy = px - ax, py - ay
-            dist = max(math.sqrt(dx * dx + dy * dy + dz2), 1e-12)
-            res = dist - r
-            prev_obj += res * res
-            jx, jy = dx / dist, dy / dist
-            n00 += jx * jx
-            n01 += jx * jy
-            n11 += jy * jy
-            g0 += jx * res
-            g1 += jy * res
         for _ in range(40):
             a00, a11 = n00 + lam, n11 + lam
             det = a00 * a11 - n01 * n01
             if 0.0 < det < math.inf:
                 sx = (n01 * g1 - a11 * g0) / det
                 sy = (n01 * g0 - a00 * g1) / det
-                obj = 0.0
+                qx, qy = px + sx, py + sy
+                obj = cobj = m00 = m01 = m11 = h0 = h1 = 0.0
                 for ax, ay, dz2, r in terms:
-                    dx, dy = px + sx - ax, py + sy - ay
-                    res = math.sqrt(dx * dx + dy * dy + dz2) - r
-                    obj += res * res
+                    dx, dy = qx - ax, qy - ay
+                    dist = math.sqrt(dx * dx + dy * dy + dz2)
+                    res = dist - r
+                    obj += res * res  # the acceptance test is unclamped
+                    if dist < 1e-12:  # max(dist, 1e-12), as at the start
+                        dist, res = 1e-12, 1e-12 - r
+                    cobj += res * res
+                    jx, jy = dx / dist, dy / dist
+                    m00, m01, m11 = m00 + jx * jx, m01 + jx * jy, m11 + jy * jy
+                    h0, h1 = h0 + jx * res, h1 + jy * res
                 if math.isfinite(obj) and obj <= prev_obj + 1e-18:
                     break
             lam *= 10.0
         else:
             break  # no damped step improves: numerically stationary
-        px, py = px + sx, py + sy
+        px, py = qx, qy
         lam = max(lam * 0.3, 1e-12)
         if math.sqrt(sx * sx + sy * sy) < _GN_STEP_TOL:
             break
         stagnant = stagnant + 1 if prev_obj - obj <= 1e-15 * (1.0 + prev_obj) else 0
         if stagnant >= 3:
             break
+        prev_obj, n00, n01, n11, g0, g1 = cobj, m00, m01, m11, h0, h1
     else:
         raise NoConvergence(
             f"multilateration did not converge in {_GN_MAX_ITERS} iterations"

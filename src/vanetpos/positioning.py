@@ -63,6 +63,10 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if self.min_rsu_count < 2:
             raise ValueError("min_rsu_count must be >= 2")
+        if self.min_rsu_spacing_m < 0:
+            raise ValueError("min_rsu_spacing_m must be >= 0")
+        if self.near_field_m < 0:
+            raise ValueError("near_field_m must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Builders the tests share."""
 
+import math
 from typing import List, Sequence, Tuple
 
 from vanetpos.channel import Rsu, channels_overlap
-from vanetpos.errors import InsufficientAnchors
+from vanetpos.errors import InsufficientAnchors, NoConvergence
 from vanetpos.geometry import LocalPoint
 from vanetpos.positioning import Beacon, SelectionPolicy
 
@@ -57,3 +58,59 @@ def reference_select_rsus(
         return ordered[:needed], True
     # anchor order changes multilaterate's rounding: keep good as heard
     return list(good) + _sorted_weakest_first(bad)[: needed - len(good)], True
+
+
+def scalar_gauss_newton_reference(
+    px: float,
+    py: float,
+    terms: Sequence[Tuple[float, float, float, float]],
+) -> Tuple[float, float]:
+    """The scalar Gauss-Newton loop that evaluated each accepted point twice.
+
+    The oracle of `geometry._gauss_newton`, which carries the normal
+    equations of an accepted trial into the next iteration: each iteration
+    here walks the terms once for the clamped objective and the normal
+    equations at (px, py), then once per damped trial for the unclamped
+    objective. Both must give the same bits.
+    """
+    lam = 1e-3
+    stagnant = 0
+    for _ in range(100):
+        prev_obj = n00 = n01 = n11 = g0 = g1 = 0.0
+        for ax, ay, dz2, r in terms:
+            dx, dy = px - ax, py - ay
+            dist = max(math.sqrt(dx * dx + dy * dy + dz2), 1e-12)
+            res = dist - r
+            prev_obj += res * res
+            jx, jy = dx / dist, dy / dist
+            n00 += jx * jx
+            n01 += jx * jy
+            n11 += jy * jy
+            g0 += jx * res
+            g1 += jy * res
+        for _ in range(40):
+            a00, a11 = n00 + lam, n11 + lam
+            det = a00 * a11 - n01 * n01
+            if 0.0 < det < math.inf:
+                sx = (n01 * g1 - a11 * g0) / det
+                sy = (n01 * g0 - a00 * g1) / det
+                obj = 0.0
+                for ax, ay, dz2, r in terms:
+                    dx, dy = px + sx - ax, py + sy - ay
+                    res = math.sqrt(dx * dx + dy * dy + dz2) - r
+                    obj += res * res
+                if math.isfinite(obj) and obj <= prev_obj + 1e-18:
+                    break
+            lam *= 10.0
+        else:
+            break  # no damped step improves: numerically stationary
+        px, py = px + sx, py + sy
+        lam = max(lam * 0.3, 1e-12)
+        if math.sqrt(sx * sx + sy * sy) < 1e-9:
+            break
+        stagnant = stagnant + 1 if prev_obj - obj <= 1e-15 * (1.0 + prev_obj) else 0
+        if stagnant >= 3:
+            break
+    else:
+        raise NoConvergence("multilateration did not converge in 100 iterations")
+    return px, py

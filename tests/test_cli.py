@@ -132,6 +132,8 @@ class TestSurveyCommand:
             (("estimator",), "train_seed", -1, "estimator.train_seed"),
             (("estimator",), "cutoff_m", -5, "estimator.cutoff_m"),
             (("scenario", "origin"), "latitude_deg", 89.5, "latitude"),
+            (("scenario", "policy"), "near_field_m", -5, "near_field_m"),
+            (("scenario", "policy"), "min_rsu_spacing_m", -1, "min_rsu_spacing_m"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
@@ -140,7 +142,7 @@ class TestSurveyCommand:
             "zero-patience", "fractional-hidden", "string-bool",
             "removed-beacon-interval", "nan-sigma", "huge-int-sigma",
             "negative-seed", "negative-train-seed", "negative-cutoff",
-            "polar-origin",
+            "polar-origin", "negative-policy-near-field", "negative-rsu-spacing",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -773,11 +775,12 @@ class TestDriveCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         config = load_scenario(str(CONFIGS / "drive.json"))
-        hints, fixes = [], []
+        hints, fixes, heard = [], [], []
         real = cli.locate
 
         def recording(*args, hint):
             hints.append(hint)
+            heard.append(args[1])
             fixes.append(real(*args, hint=hint))
             return fixes[-1]
 
@@ -796,6 +799,19 @@ class TestDriveCommand:
         ]
         assert [fix.source for _, fix in steps] == sources
         assert set(sources) == {FixSource.RSS, FixSource.DGPS}
+        # a DGPS step gets no beacons; an RSS step gets every reading above
+        # the floor, one per RSU in id order
+        grid = channel.generate_survey(config.layout, config.channel, [config.seed, 1])
+        floor = config.channel.rss_floor_dbm + 1e-9
+        rsus = sorted(config.layout.rsus, key=lambda r: r.id)
+        for source, beacons, row in zip(sources, heard, grid.rss_dbm.tolist()):
+            expected = [
+                positioning.Beacon(rsu=rsu, rss_dbm=r)
+                for rsu, r in zip(rsus, row)
+                if r > floor
+            ] if source is FixSource.RSS else []
+            assert list(beacons) == expected
+        assert any(len(b) == len(rsus) for b in heard)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr() == ("", "")
 

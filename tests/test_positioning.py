@@ -550,6 +550,34 @@ class TestLocateNn:
             assert fix.quality_m == 2 * est.rmse_m
 
 
+@pytest.mark.parametrize("weaker_first", [True, False])
+@pytest.mark.parametrize("kind", ["poly", "nn"])
+def test_weaker_duplicate_reading_leaves_the_fix(kind, weaker_first):
+    # `locate` keeps each RSU's strongest reading: a weaker copy of a
+    # selected RSU would be picked first by the weakest-first selection, and
+    # read last into the network's input vector
+    gps = GpsStatus(False, False, None)
+    if kind == "poly":
+        truth = (150.0, 80.0, 1.10)
+        beacons = [
+            beacon(rsu_id, x, ch, rss_for_distance(math.dist((x, 0.0, 1.10), truth)))
+            for rsu_id, x, ch in (("a", 0.0, 1), ("b", 150.0, 7), ("c", 300.0, 13))
+        ]
+        est, hint = TestLocate.estimator_three_rsus(), LocalPoint(140.0, 70.0, 1.10)
+    else:
+        est, survey, layout = TestLocateNn.make_estimator()
+        cell = dict(zip(survey.rsu_ids(), survey.rss_dbm[survey.x_m == 100.0][0]))
+        beacons = [Beacon(rsu=r, rss_dbm=cell[r.id]) for r in layout.rsus]
+        hint = None
+    fix = locate(gps, beacons, est, SelectionPolicy(), ORIGIN, hint=hint)
+    strong = beacons[1]
+    assert strong.rsu.id in fix.used_rsu_ids
+    weak = Beacon(rsu=strong.rsu, rss_dbm=strong.rss_dbm - 3.0)
+    pair = [weak, strong] if weaker_first else [strong, weak]
+    doubled = [beacons[0], *pair, beacons[2]]
+    assert locate(gps, doubled, est, SelectionPolicy(), ORIGIN, hint=hint) == fix
+
+
 class TestValidateDeployment:
     def test_accepts_spaced_rsus(self):
         rsus = standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
