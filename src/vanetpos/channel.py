@@ -156,8 +156,8 @@ def expected_rss(model: ChannelModel, distance_m: float) -> float:
             f"distance {distance_m} m closer than reference "
             f"{model.ref_distance_m} m"
         )
-    rss = model.ref_rss_dbm - 10.0 * model.path_loss_exponent * math.log10(
-        distance_m / model.ref_distance_m
+    rss = model.ref_rss_dbm - 10.0 * model.path_loss_exponent * float(
+        np.log10(distance_m / model.ref_distance_m)
     )
     return max(rss, model.rss_floor_dbm)
 
@@ -238,10 +238,7 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     if below.size:
         # raises BelowReferenceDistance
         expected_rss(model, float(nearest[below[0]]))
-    # math.log10 per cell: np.log10 rounds differently on some inputs
-    log = np.array(
-        [math.log10(d / model.ref_distance_m) for d in dist.ravel().tolist()]
-    ).reshape(dist.shape)
+    log = np.log10(dist / model.ref_distance_m)
     tx_ref_dbm = np.array([r.tx_ref_rss_dbm for r in rsus])
     floor = model.rss_floor_dbm
     rss = np.maximum(tx_ref_dbm - 10.0 * model.path_loss_exponent * log, floor)

@@ -131,31 +131,16 @@ def _line_direction(
     lam0 = 0.5 * (sxx + syy + disc)
     if len(offsets) > 2 and det / lam0 > _GEOM_TOL * _GEOM_TOL * max(lam0, 1.0):
         return None
-    # C^T C's eigenvector of lam0, from the row that does not cancel
+    # C^T C's eigenvector of lam0, from the row that does not cancel; the
+    # first row gives d_x > 0, the second d_y > 0 and d_x of either sign
     if sxx >= syy:
         dx, dy = 0.5 * (sxx - syy + disc), sxy
     else:
         dx, dy = sxy, 0.5 * (syy - sxx + disc)
     norm = math.sqrt(dx * dx + dy * dy)
-    dx, dy = dx / norm, dy / norm
-    # LAPACK's Householder step maps a column's head a to -sign(a) * norm
-    # (+ for 0), or keeps it if the rest is 0: d_x's sign, or d_y's on y
-    col, along = [c[0] for c in offsets], dx
-    if not any(col):
-        col, along = [c[1] for c in offsets[1:]], dy
-    positive = col[0] < 0.0 if any(col[1:]) else col[0] > 0.0
-    return (dx, dy) if (along > 0.0) == positive else (-dx, -dy)
-
-
-def _fma_norm(dx: float, dy: float) -> float:
-    """sqrt(dx*dx + dy*dy) rounded as BLAS's fused dot product rounds it; it
-    breaks the tie of two mirror solutions equally near a hint on the line."""
-    c = 134217729.0 * dy  # Veltkamp split: dy*dy == sq + err exactly
-    hi = c - (c - dy)
-    lo = dy - hi
-    sq = dy * dy
-    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo if sq < math.inf else 0.0
-    return math.sqrt(math.fsum((dx * dx, sq, err)))
+    if dx < 0.0:
+        norm = -norm
+    return dx / norm, dy / norm
 
 
 def _linear_init(
@@ -166,8 +151,8 @@ def _linear_init(
     Subtracting the first range equation from the others cancels the
     quadratic terms, leaving a linear system in (x, y). Exact for noiseless
     data with non-degenerate anchors; for collinear anchors lstsq returns
-    the minimum-norm component (a point on the anchor line), which the
-    caller nudges off before iterating.
+    the minimum-norm solution, which the caller moves to 1 m off the
+    anchor line before iterating.
     """
     x0, y0, z0, r0 = pts[0]
     rows, rhs = [], []
@@ -261,11 +246,11 @@ def multilaterate(
     road-side convention of picking the solution with y >= the anchors'
     mean y. Collinear means the centred anchors' singular values s0 >= s1
     have s1 <= 1e-9 * max(s0, 1 m), where s1**2 = det / s0**2 and det is
-    summed by the Lagrange identity, which does not cancel. A start on the
-    line, which the solve would never leave, moves 1 m along the normal
-    (-d_y, d_x) of the line direction d, signed as LAPACK's SVD signed it:
-    d_x points from the first anchor's x toward the centroid's (negative if
-    they are equal); on a line along y, the y offsets after the first decide.
+    summed by the Lagrange identity, which does not cancel. The line
+    direction d has d_x > 0, or d_y > 0 on a line along y. A solve that
+    starts on the line never leaves it, so a hint on the line moves 1 m
+    along the normal (-d_y, d_x), and a start without a hint is placed 1 m
+    off the line on that side: +y, or -x on a line along y.
     """
     n = len(ranges)
     if n < 2:
@@ -288,10 +273,9 @@ def multilaterate(
     else:
         px, py = _linear_init(pts, z)
         if d is not None:
-            # the linearized solve lands on the anchor line; push off on
-            # the +y side so the road-side convention holds
-            sign = 1.0 if d[0] >= 0.0 else -1.0
-            px, py = px - sign * d[1], py + sign * d[0]
+            # collinear: lstsq gives no side; start 1 m off the line
+            off = 1.0 - ((px - mx) * -d[1] + (py - my) * d[0])
+            px, py = px - off * d[1], py + off * d[0]
 
     terms = [(ax, ay, (z - az) * (z - az), r) for ax, ay, az, r in pts]
     px, py = _gauss_newton(px, py, terms)
@@ -302,7 +286,7 @@ def multilaterate(
         qx, qy = mx + ux - (rx - ux), my + uy - (ry - uy)
         if hint is not None:
             hx, hy = hint.x_m, hint.y_m
-            if _fma_norm(qx - hx, qy - hy) < _fma_norm(px - hx, py - hy):
+            if math.hypot(qx - hx, qy - hy) < math.hypot(px - hx, py - hy):
                 px, py = qx, qy
         elif py < my and qy >= my:
             px, py = qx, qy

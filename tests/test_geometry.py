@@ -115,10 +115,12 @@ def reference_multilaterate(ranges, hint=None):
 
     One SVD of the centred anchors gives the collinearity test and the line
     direction; numpy means, norms and dot products give the centroid, the
-    coincidence test, the hint nudge and the mirror. The solve itself is the
-    scalar `_gauss_newton`, so on a row along x or y whose centroid lies on
-    it, where every product with the direction is exact, the float path
-    must agree bit for bit.
+    coincidence test, the hint nudge and the mirror. The line direction
+    takes `multilaterate`'s sign (LAPACK's is arbitrary). The solve itself
+    is the scalar `_gauss_newton`, so on a row along x or y whose centroid
+    lies on it, where every product with the direction is exact, the float
+    path must agree bit for bit, unless a hint on the line ties the two
+    mirror solutions.
     """
     if len(ranges) < 2:
         raise InsufficientAnchors("2D multilateration needs >= 2 anchors")
@@ -131,6 +133,8 @@ def reference_multilaterate(ranges, hint=None):
     d = None
     if len(anchors) == 2 or s[1] <= 1e-9 * max(s[0], 1.0):
         d = vt[0] / np.linalg.norm(vt[0])
+        if d[0] < 0.0 or d[0] == 0.0 and d[1] < 0.0:
+            d = -d  # LAPACK's sign is arbitrary; d_x > 0, or d_y > 0
     normal = None if d is None else np.array([-d[1], d[0]])
     z = hint.z_m if hint is not None else 0.0
     if hint is not None:
@@ -149,9 +153,7 @@ def reference_multilaterate(ranges, hint=None):
         sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
         start = np.array([sol[0], sol[1], z])
         if normal is not None:
-            if normal[1] < 0:
-                normal = -normal
-            start[:2] += normal
+            start[:2] += (1.0 - (start[:2] - base).dot(normal)) * normal
     p = gauss_newton_xyz(start, anchors, rng_m)
     if d is not None:
         rel = p[:2] - base
@@ -272,6 +274,28 @@ class TestMultilaterate:
         p = multilaterate(ranges, hint=LocalPoint(50.0, 0.0, 0.0))
         assert abs(p.x_m - 55.0) < 1e-6
         assert abs(abs(p.y_m) - 7.0) < 1e-6
+
+    def test_hintless_collinear_start_off_the_line(self):
+        # lstsq's minimum-norm start lies on the anchor line only if the line
+        # passes through the origin: here it is (4, 0), a 1 m push put it on
+        # the line y = 1, and the solve ended there, at (3.943, 1.0)
+        truth = (4.0, 6.0, 0.0)
+        anchors = [(0.0, 1.0, 0.0), (10.0, 1.0, 0.0), (20.0, 1.0, 0.0)]
+        ranges = [AnchorRange(LocalPoint(*a), math.dist(a, truth)) for a in anchors]
+        for order in (ranges, ranges[::-1]):
+            p = multilaterate(order)
+            assert math.dist((p.x_m, p.y_m), truth[:2]) < 1e-6
+
+    def test_hintless_row_along_y_is_order_free(self):
+        # the mirror across a row along y keeps y, so the road-side
+        # convention cannot pick a side: the start's side, 1 m to -x, does
+        ranges = [
+            AnchorRange(LocalPoint(1.0, 0.0, 0.0), 1.0),
+            AnchorRange(LocalPoint(1.0, 1.0, 0.0), math.sqrt(2.0)),
+        ]
+        fixes = [multilaterate(order) for order in (ranges, ranges[::-1])]
+        assert fixes[0] == fixes[1]
+        assert math.dist((fixes[0].x_m, fixes[0].y_m), (0.0, 0.0)) < 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_non_finite_or_negative_range_rejected(self, bad):
@@ -409,10 +433,18 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(anchor_rows("axis"))
     def test_axis_aligned_rows_bit_for_bit(self, case):
-        ranges, hint, _ = case
+        # the two mirror solutions tie when the hint is on the line: the
+        # last bit of each distance to the hint then picks one, and numpy's
+        # norm rounds it differently from math.hypot
+        ranges, hint, (a0, u, mode) = case
+        tied = mode == "on"
         for order in (ranges, ranges[::-1]):
             ref = _outcome(order, hint, reference_multilaterate)
             new = _outcome(order, hint, multilaterate)
+            if tied and isinstance(ref, tuple) and isinstance(new, tuple):
+                err = min(math.dist(ref, new), math.dist(_mirror(ref, a0, u), new))
+                assert err < 1e-9, (ref, new)
+                continue
             if isinstance(ref, tuple):
                 ref, new = [v.hex() for v in ref], [v.hex() for v in new]
             assert new == ref
