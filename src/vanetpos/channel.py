@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,12 @@ class Rsu:
     tx_ref_rss_dbm: float = -40.0
 
     def __post_init__(self) -> None:
+        # the id is a field of the survey CSV and of a trace's used_rsus list
+        if not self.id or any(c in self.id for c in ",;\n\r"):
+            raise ValueError(
+                f"RSU id {self.id!r} must be non-empty, without ',', ';' or a "
+                "line break"
+            )
         if not WIFI_CHANNEL_MIN <= self.channel <= WIFI_CHANNEL_MAX:
             raise ChannelOutOfRange(
                 f"RSU {self.id}: channel {self.channel} outside "
@@ -114,7 +120,7 @@ class RssSample(NamedTuple):
     x_m: float
     rsu_id: str
     rss_dbm: float
-    true_distance_m: Optional[float] = None
+    true_distance_m: float
 
 
 @dataclass(frozen=True, eq=False)

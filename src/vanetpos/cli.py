@@ -41,7 +41,6 @@ from .positioning import (
     Beacon,
     CalibratedPoly,
     FixSource,
-    GpsStatus,
     NnPositionEstimator,
     PolynomialRangeEstimator,
     PositionFix,
@@ -411,23 +410,22 @@ def drive(config: ScenarioConfig, seed: int) -> Iterator[Tuple[float, PositionFi
     for lo, hi in config.gps_outages:
         in_outage |= (lo <= grid.x_m) & (grid.x_m <= hi)
 
-    for x, rss, sats_ok in zip(
+    for x, rss, dgps_ok in zip(
         grid.x_m.tolist(), grid.rss_dbm.tolist(), (~in_outage).tolist()
     ):
-        truth = config.layout.vehicle_point(x)
-        beacons = () if sats_ok else [  # a DGPS fix reads no beacon
+        beacons = () if dgps_ok else [  # a DGPS fix reads no beacon
             Beacon(rsu=rsu, rss_dbm=r)
             for rsu, r in zip(grid.rsus, rss)
             if r > heard_dbm
         ]
         try:
-            gps = GpsStatus(
-                satellites_ok=sats_ok,
-                dgps_corrections=sats_ok,
-                dgps_position=to_global(truth, config.origin) if sats_ok else None,
+            dgps = (  # the truth, where the receiver has a DGPS fix
+                to_global(config.layout.vehicle_point(x), config.origin)
+                if dgps_ok
+                else None
             )
             fix = locate(
-                gps, beacons, estimator, config.policy, config.origin, hint=hint
+                dgps, beacons, estimator, config.policy, config.origin, hint=hint
             )
         except VanetPosError as e:  # name the step; `main` picks the code
             raise type(e)(f"at x={x}: {e}") from e

@@ -38,9 +38,6 @@ class Polynomial4:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def coefficients(self) -> Tuple[float, float, float, float, float]:
-        return (self.p1, self.p2, self.p3, self.p4, self.p5)
-
 
 @dataclass(frozen=True)
 class FitInput:
@@ -48,7 +45,6 @@ class FitInput:
 
     rss_dbm: Tuple[float, ...]
     distance_m: Tuple[float, ...]
-    min_distance_m: float
 
     def __post_init__(self) -> None:
         if len(self.rss_dbm) != len(self.distance_m):
@@ -75,12 +71,7 @@ def filter_near_field(
     samples: Iterable[RssSample], cutoff_m: float
 ) -> FitInput:
     """Keep only samples at true distance >= cutoff, preserving order."""
-    kept: List[RssSample] = []
-    for s in samples:
-        if s.true_distance_m is None:
-            raise ValueError(f"sample at x={s.x_m} lacks true_distance_m")
-        if s.true_distance_m >= cutoff_m:
-            kept.append(s)
+    kept = [s for s in samples if s.true_distance_m >= cutoff_m]
     if len(kept) < _MIN_PAIRS:
         raise TooFewSamples(
             f"only {len(kept)} samples at distance >= {cutoff_m} m "
@@ -89,7 +80,6 @@ def filter_near_field(
     return FitInput(
         rss_dbm=tuple(s.rss_dbm for s in kept),
         distance_m=tuple(s.true_distance_m for s in kept),
-        min_distance_m=cutoff_m,
     )
 
 

@@ -60,20 +60,6 @@ class MlpModel:
             and self.out_max == other.out_max
         )
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            n_inputs=self.n_inputs,
-            n_hidden=self.n_hidden,
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2,
-            in_min=self.in_min.copy(),
-            in_max=self.in_max.copy(),
-            out_min=self.out_min,
-            out_max=self.out_max,
-        )
-
 
 @dataclass(frozen=True)
 class SplitIndices:

@@ -37,21 +37,6 @@ class FixSource(Enum):
 
 
 @dataclass(frozen=True)
-class GpsStatus:
-    """Satellite and correction availability as reported by the receiver."""
-
-    satellites_ok: bool
-    dgps_corrections: bool
-    dgps_position: Optional[GlobalPosition] = None
-
-    def __post_init__(self) -> None:
-        if self.satellites_ok and self.dgps_corrections and self.dgps_position is None:
-            raise ValueError(
-                "dgps_position required when satellites_ok and dgps_corrections"
-            )
-
-
-@dataclass(frozen=True)
 class SelectionPolicy:
     """RSU selection and deployment rules."""
 
@@ -166,9 +151,9 @@ def select_rsus(
     clamp. Not degraded: every good beacon the weakest-first greedy pass
     keeps on mutually non-overlapping channels (all if the channel rule is
     off), when that reaches `min_rsu_count`; a beacon on a channel blocked
-    by an earlier pick is never ranged. Else, degraded: the `min_rsu_count`
-    weakest good beacons, or the good as heard topped up with the weakest
-    bad ones. No beacon is ranged twice.
+    by an earlier pick is never ranged. Else, degraded: the first
+    `min_rsu_count` of the good beacons, then the bad, each weakest first.
+    No beacon is ranged twice.
     """
     needed = policy.min_rsu_count
     if len(beacons) < needed:
@@ -191,12 +176,7 @@ def select_rsus(
     for b in ordered:  # range what the pass skipped
         if b.rsu.id not in good_by_id:
             good_by_id[b.rsu.id] = is_good(b)
-    good = [b for b in ordered if good_by_id[b.rsu.id]]
-    if len(good) >= needed:
-        return good[:needed], True
-    # anchor order changes multilaterate's rounding: keep good as heard
-    top_up = [b for b in ordered if not good_by_id[b.rsu.id]][: needed - len(good)]
-    return [b for b in beacons if good_by_id[b.rsu.id]] + top_up, True
+    return sorted(ordered, key=lambda b: not good_by_id[b.rsu.id])[:needed], True
 
 
 def rss_to_range(cal: CalibratedPoly, rss_dbm: float) -> Tuple[float, bool]:
@@ -295,28 +275,29 @@ def _locate_nn(
 
 
 def locate(
-    gps: GpsStatus,
+    dgps: Optional[GlobalPosition],
     beacons: Sequence[Beacon],
     estimator: RangeEstimator,
     policy: SelectionPolicy,
     origin: GlobalPosition,
     hint: Optional[LocalPoint] = None,
 ) -> PositionFix:
-    """Produce one position fix from the current GPS state and beacons.
+    """Produce one position fix from the receiver's DGPS fix and the beacons.
 
-    DGPS wins whenever satellites and corrections are both available;
-    otherwise the RSS path selects RSUs per the policy (`select_rsus`) and
-    applies the estimator. Quality is the calibration RMSE (polynomial:
-    the worst of the selected RSUs'), doubled when the fix is degraded:
+    `dgps` is the receiver's corrected position, or None when it has none.
+    A DGPS fix wins whenever there is one; otherwise the RSS path selects
+    RSUs per the policy (`select_rsus`) and applies the estimator. Quality
+    is the calibration RMSE (polynomial: the worst of the selected RSUs'),
+    doubled when the fix is degraded:
 
     - polynomial: `select_rsus` fell back, to good RSUs on overlapping
       channels or to bad ones (near field, or clamped by `rss_to_range`)
     - nn: the estimate was clamped to the calibrated segment
     """
-    if gps.satellites_ok and gps.dgps_corrections:
+    if dgps is not None:
         return PositionFix(
-            global_position=gps.dgps_position,
-            local_position=to_local(gps.dgps_position, origin),
+            global_position=dgps,
+            local_position=to_local(dgps, origin),
             source=FixSource.DGPS,
             used_rsu_ids=(),
             quality_m=0.0,

@@ -54,10 +54,7 @@ def reference_select_rsus(
                 picked.append(b)
     if len(picked) >= needed:
         return picked, False
-    if len(good) >= needed:
-        return ordered[:needed], True
-    # anchor order changes multilaterate's rounding: keep good as heard
-    return list(good) + _sorted_weakest_first(bad)[: needed - len(good)], True
+    return (ordered + _sorted_weakest_first(bad))[:needed], True
 
 
 def scalar_gauss_newton_reference(

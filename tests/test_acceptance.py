@@ -6,6 +6,7 @@ experiment configs. Each test prints a PASS line so a -s run reads as a
 checklist.
 """
 
+import copy
 import math
 from pathlib import Path
 
@@ -141,7 +142,7 @@ class TestCriterion6GradientCorrectness:
             g = gradients(model, x, y)
 
             def loss_of(flat):
-                m = model.copy()
+                m = copy.deepcopy(model)
                 k = 0
                 m.w1 = flat[k : k + m.w1.size].reshape(m.w1.shape); k += m.w1.size
                 m.b1 = flat[k : k + m.b1.size]; k += m.b1.size
@@ -232,7 +233,7 @@ class TestCriterion8FitRecovery:
                 for r in rss
             ]
         )
-        poly, _ = fit_poly4(FitInput(tuple(rss), tuple(dist), 0.0))
+        poly, _ = fit_poly4(FitInput(tuple(rss), tuple(dist)))
         grid = np.linspace(rss.min(), rss.max(), 300)
         fitted = evaluate_poly4(poly, grid)
         exact = (

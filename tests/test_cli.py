@@ -134,6 +134,12 @@ class TestSurveyCommand:
             (("scenario", "origin"), "latitude_deg", 89.5, "latitude"),
             (("scenario", "policy"), "near_field_m", -5, "near_field_m"),
             (("scenario", "policy"), "min_rsu_spacing_m", -1, "min_rsu_spacing_m"),
+            # an id is a survey CSV field and an entry of a trace's used_rsus
+            (("layout", "rsus", 0), "id", "ap,0", "RSU id 'ap,0'"),
+            (("layout", "rsus", 0), "id", "ap;0", "RSU id 'ap;0'"),
+            (("layout", "rsus", 0), "id", "", "RSU id ''"),
+            (("layout", "rsus", 0), "id", "ap\n0", "RSU id 'ap\\n0'"),
+            (("layout", "rsus", 0), "id", "ap\r0", "RSU id 'ap\\r0'"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
@@ -143,6 +149,8 @@ class TestSurveyCommand:
             "removed-beacon-interval", "nan-sigma", "huge-int-sigma",
             "negative-seed", "negative-train-seed", "negative-cutoff",
             "polar-origin", "negative-policy-near-field", "negative-rsu-spacing",
+            "comma-rsu-id", "semicolon-rsu-id", "empty-rsu-id", "newline-rsu-id",
+            "carriage-return-rsu-id",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -938,7 +946,6 @@ def test_rss_sample_keyword_and_positional_agree():
         x_m=12.5, rsu_id="ap0", rss_dbm=-61.25, true_distance_m=70.0
     )
     assert keyword == channel.RssSample(12.5, "ap0", -61.25, 70.0)
-    assert channel.RssSample(12.5, "ap0", -61.25).true_distance_m is None
 
 
 def test_drive_and_fit_do_not_import_numpy_ma(exp2_csv, tmp_path):

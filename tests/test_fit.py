@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ PUBLISHED_COEFFS_60M = Polynomial4(-0.005206, -1.553, -173.5, -8608, -1.601e5)
 
 def naive_power_sum(poly, r):
     """Independent evaluation oracle: explicit powers, no Horner."""
-    p1, p2, p3, p4, p5 = poly.coefficients()
+    p1, p2, p3, p4, p5 = astuple(poly)
     return p1 * r**4 + p2 * r**3 + p3 * r**2 + p4 * r + p5
 
 
@@ -74,9 +74,7 @@ class TestFitPoly4:
         truth = Polynomial4(2e-5, 0.004, 0.21, 7.5, 310.0)
         rss = np.linspace(-90.0, -60.0, 10)
         dist = np.array([naive_power_sum(truth, r) for r in rss])
-        poly, report = fit_poly4(
-            FitInput(tuple(rss), tuple(dist), min_distance_m=0.0)
-        )
+        poly, report = fit_poly4(FitInput(tuple(rss), tuple(dist)))
         grid = np.linspace(rss.min(), rss.max(), 200)
         fitted = evaluate_poly4(poly, grid)
         expected = np.array([naive_power_sum(truth, r) for r in grid])
@@ -85,13 +83,13 @@ class TestFitPoly4:
 
     def test_four_pairs_rejected(self):
         with pytest.raises(TooFewSamples):
-            FitInput((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), 0.0)
+            FitInput((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0))
 
     def test_repeated_rss_rejected(self):
         rss = (-80.0, -80.0, -80.0, -80.0, -80.0, -70.0)
         dist = (100.0, 101.0, 99.0, 100.5, 100.2, 50.0)
         with pytest.raises(RankDeficient):
-            fit_poly4(FitInput(rss, dist, 0.0))
+            fit_poly4(FitInput(rss, dist))
 
     def test_report_matches_naive_goodness_oracle(self):
         # floor low enough that the far field stays unclamped and the fit is
@@ -128,11 +126,7 @@ class TestFitPoly4:
         survey = default_survey(seed=7)
         kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
         poly_a, _ = fit_poly4(kept)
-        shifted = FitInput(
-            kept.rss_dbm,
-            tuple(d + 37.5 for d in kept.distance_m),
-            kept.min_distance_m,
-        )
+        shifted = FitInput(kept.rss_dbm, tuple(d + 37.5 for d in kept.distance_m))
         poly_b, _ = fit_poly4(shifted)
         for name in ("p1", "p2", "p3", "p4"):
             a, b = getattr(poly_a, name), getattr(poly_b, name)
@@ -203,7 +197,7 @@ class TestRawCoefficients:
                 rss = np.asarray(kept.rss_dbm)
                 mu, sigma = rss.mean(), rss.std()
                 z_coeffs = np.polyfit((rss - mu) / sigma, kept.distance_m, deg=4)
-                got = poly.coefficients()
+                got = astuple(poly)
                 assert all(type(c) is float for c in got), (name, rsu_id)
                 assert bits(got) == bits(reference_compose(z_coeffs, mu, sigma)), (
                     name,

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -63,12 +64,12 @@ def reference_train(model, dataset, splits, config):
     y_train = dataset.targets[list(splits.train)]
     x_val = dataset.inputs[list(splits.validation)]
     y_val = dataset.targets[list(splits.validation)]
-    current = model.copy()
+    current = copy.deepcopy(model)
     current.in_min, current.in_max = x_train.min(axis=0), x_train.max(axis=0)
     current.out_min, current.out_max = float(y_train.min()), float(y_train.max())
     to_m2 = ((current.out_max - current.out_min) / 2.0) ** 2
 
-    best = current.copy()
+    best = copy.deepcopy(current)
     best_val = loss(current, x_val, y_val) if len(x_val) else np.inf
     epochs_since_best = 0
     history = []
@@ -89,7 +90,7 @@ def reference_train(model, dataset, splits, config):
         history.append(EpochRecord(epoch, train_mse * to_m2, val_mse * to_m2))
         if val_mse < best_val:
             best_val = val_mse
-            best = current.copy()
+            best = copy.deepcopy(current)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -108,7 +109,7 @@ def numeric_gradient(model, inputs, targets, h=1e-5):
     """Central finite differences of batch_loss over every parameter."""
 
     def loss_with(w1, b1, w2, b2):
-        m = model.copy()
+        m = copy.deepcopy(model)
         m.w1, m.b1, m.w2, m.b2 = w1, b1, w2, b2
         return batch_loss(m, inputs, targets)
 
@@ -214,7 +215,7 @@ class TestForward:
         activation = np.tanh(m.w1 @ xn + m.b1)
         base = forward(m, x)
         delta = 0.37
-        m2 = m.copy()
+        m2 = copy.deepcopy(m)
         m2.w2 = m.w2.copy()
         m2.w2[1] += delta
         bumped = forward(m2, x)
@@ -511,7 +512,7 @@ class TestBufferOwnership:
     def test_train(self, stack_buffers):
         ds = TestSweep.survey_dataset()
         model = init_mlp(3, 5, seed=1)
-        snapshot = model.copy()
+        snapshot = copy.deepcopy(model)
         splits = split_dataset(ds.n, 1)
         trained, _ = train(model, ds, splits, TrainConfig(max_epochs=40))
         assert stack_buffers
@@ -521,7 +522,7 @@ class TestBufferOwnership:
         ds = TestSweep.survey_dataset()
         seeds = range(6)
         models = [init_mlp(3, 4, seed) for seed in seeds]
-        snapshots = [m.copy() for m in models]
+        snapshots = [copy.deepcopy(m) for m in models]
         splits = [split_dataset(ds.n, seed) for seed in seeds]
         config = TrainConfig(max_epochs=200, patience=3)
         trained, history = nn._train_stack(models, ds, splits, config)
@@ -536,7 +537,7 @@ class TestBufferOwnership:
         train_stack = nn._train_stack
 
         def recording(models, *args):
-            snapshots = [m.copy() for m in models]
+            snapshots = [copy.deepcopy(m) for m in models]
             trained, history = train_stack(models, *args)
             calls.append((models, snapshots, trained))
             return trained, history

@@ -21,7 +21,6 @@ from vanetpos.positioning import (
     Beacon,
     CalibratedPoly,
     FixSource,
-    GpsStatus,
     NnPositionEstimator,
     PolynomialRangeEstimator,
     PositionFix,
@@ -133,7 +132,7 @@ class TestSelectRsus:
         assert [b.rsu.id for b in selected] == ["a", "b", "c"]
         assert degraded is False
 
-    def test_top_up_keeps_good_in_heard_order_then_weakest_bad(self):
+    def test_top_up_keeps_good_weakest_first_then_weakest_bad(self):
         good = [beacon("x", 0.0, 1, -60.0), beacon("y", 100.0, 7, -80.0)]
         bad = [
             beacon("p", 200.0, 13, -50.0),
@@ -141,7 +140,7 @@ class TestSelectRsus:
             beacon("r", 400.0, 7, -70.0),
         ]
         selected, degraded = select(good, bad, SelectionPolicy(min_rsu_count=4))
-        assert [b.rsu.id for b in selected] == ["x", "y", "q", "r"]
+        assert [b.rsu.id for b in selected] == ["y", "x", "q", "r"]
         assert degraded is True
 
 
@@ -261,32 +260,31 @@ class TestLocate:
 
     def test_dgps_wins_when_both_flags_true(self):
         dgps_pos = GlobalPosition(26.351, 43.972, 601.0)
-        gps = GpsStatus(True, True, dgps_pos)
         beacons = [beacon("a", 0.0, 1, -60.0), beacon("b", 100.0, 7, -75.0)]
-        fix = locate(gps, beacons, self.estimator_three_rsus(), self.policy(), ORIGIN)
+        fix = locate(
+            dgps_pos, beacons, self.estimator_three_rsus(), self.policy(), ORIGIN
+        )
         assert fix.source is FixSource.DGPS
         assert fix.global_position == dgps_pos
         assert fix.used_rsu_ids == ()
         assert fix.quality_m == 0.0
 
-    @pytest.mark.parametrize(
-        "sats,corr", [(True, False), (False, True), (False, False)]
-    )
-    def test_decision_table_rss_cases(self, sats, corr):
+    @pytest.mark.parametrize("n_heard", [2, 3])
+    def test_decision_table_rss_cases(self, n_heard):
+        # without a DGPS fix, the RSS path ranges every clean beacon heard
         truth = LocalPoint(150.0, 80.0, 1.10)
         anchors = {"a": 0.0, "b": 150.0, "c": 300.0}
         beacons = []
-        for rsu_id, x in anchors.items():
+        for rsu_id, x in list(anchors.items())[:n_heard]:
             d = math.dist((x, 0.0, 1.10), (truth.x_m, truth.y_m, truth.z_m))
             ch = {"a": 1, "b": 7, "c": 13}[rsu_id]
             beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d)))
-        gps = GpsStatus(sats, corr, None)
         fix = locate(
-            gps, beacons, self.estimator_three_rsus(), self.policy(), ORIGIN,
+            None, beacons, self.estimator_three_rsus(), self.policy(), ORIGIN,
             hint=LocalPoint(140.0, 70.0, 1.10),
         )
         assert fix.source is FixSource.RSS
-        assert len(fix.used_rsu_ids) >= 2
+        assert set(fix.used_rsu_ids) == set(list(anchors)[:n_heard])
 
     def test_noiseless_ranges_recover_truth(self):
         truth = LocalPoint(150.0, 80.0, 1.10)
@@ -297,7 +295,7 @@ class TestLocate:
             ch = {"a": 1, "b": 7, "c": 13}[rsu_id]
             beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d)))
         fix = locate(
-            GpsStatus(False, False, None),
+            None,
             beacons,
             self.estimator_three_rsus(),
             self.policy(),
@@ -323,7 +321,7 @@ class TestLocate:
             ch = {"a": 1, "b": 7, "c": 13}[rsu_id]
             beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d_noisy)))
         fix = locate(
-            GpsStatus(False, False, None),
+            None,
             beacons,
             self.estimator_three_rsus(),
             self.policy(),
@@ -355,7 +353,7 @@ class TestLocate:
             beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d)))
         # b is 30 m away: inside the default 60 m near field
         fix = locate(
-            GpsStatus(False, False, None),
+            None,
             beacons,
             self.estimator_three_rsus(),
             self.policy(),
@@ -394,7 +392,7 @@ class TestLocate:
                 per = replace(model, ref_rss_dbm=rsu.tx_ref_rss_dbm)
                 beacons.append(Beacon(rsu=rsu, rss_dbm=expected_rss(per, d)))
             fix = locate(
-                GpsStatus(False, False, None),
+                None,
                 beacons,
                 est,
                 SelectionPolicy(),
@@ -406,7 +404,7 @@ class TestLocate:
     def test_one_beacon_insufficient(self):
         with pytest.raises(InsufficientAnchors):
             locate(
-                GpsStatus(False, False, None),
+                None,
                 [beacon("a", 0.0, 1, -80.0)],
                 self.estimator_three_rsus(),
                 self.policy(),
@@ -416,7 +414,7 @@ class TestLocate:
     def test_uncalibrated_rsu_is_heard_but_never_ranged(self):
         with pytest.raises(InsufficientAnchors, match="^1 calibrated RSUs heard"):
             locate(
-                GpsStatus(False, False, None),
+                None,
                 [beacon("a", 0.0, 1, -80.0), beacon("z", 150.0, 7, -80.0)],
                 self.estimator_three_rsus(),
                 self.policy(),
@@ -426,7 +424,7 @@ class TestLocate:
     def test_no_beacons_no_coverage(self):
         with pytest.raises(NoCoverage):
             locate(
-                GpsStatus(False, False, None),
+                None,
                 [],
                 self.estimator_three_rsus(),
                 self.policy(),
@@ -442,7 +440,7 @@ class TestLocate:
             d = math.dist((x, 0.0, 1.10), (truth.x_m, truth.y_m, truth.z_m))
             beacons.append(beacon(rsu_id, x, 6, rss_for_distance(d)))
         fix = locate(
-            GpsStatus(False, False, None),
+            None,
             beacons,
             self.estimator_three_rsus(),
             SelectionPolicy(require_distinct_channels=False),
@@ -463,7 +461,7 @@ class TestLocate:
             by_rsu={r: linear_cal(rmse=0.5) for r in ("a", "b")}
         )
         fix = locate(
-            GpsStatus(False, False, None), beacons, est, self.policy(), ORIGIN,
+            None, beacons, est, self.policy(), ORIGIN,
             hint=LocalPoint(140.0, 70.0, 1.10),
         )
         assert fix.quality_m == 1.0  # 2 x 0.5
@@ -477,7 +475,7 @@ class TestLocate:
             ch = {"a": 1, "b": 7, "c": 13}[rsu_id]
             beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d)))
         args = (
-            GpsStatus(False, False, None),
+            None,
             beacons,
             self.estimator_three_rsus(),
             self.policy(),
@@ -522,7 +520,7 @@ class TestLocateNn:
             Beacon(rsu=r, rss_dbm=cell[r.id]) for r in layout.rsus
         ]
         fix = locate(
-            GpsStatus(False, False, None), beacons, est, SelectionPolicy(), ORIGIN
+            None, beacons, est, SelectionPolicy(), ORIGIN
         )
         assert fix.source is FixSource.RSS
         assert set(fix.used_rsu_ids) == {"ap0", "ap100", "ap200"}
@@ -534,7 +532,7 @@ class TestLocateNn:
         beacons = [Beacon(rsu=layout.rsus[0], rss_dbm=-70.0)]
         with pytest.raises(InsufficientAnchors):
             locate(
-                GpsStatus(False, False, None), beacons, est, SelectionPolicy(), ORIGIN
+                None, beacons, est, SelectionPolicy(), ORIGIN
             )
 
     def test_output_clamped_to_segment(self):
@@ -542,7 +540,7 @@ class TestLocateNn:
         # wildly strong signals push the net far off segment; clamp + derate
         beacons = [Beacon(rsu=r, rss_dbm=-20.0) for r in layout.rsus]
         fix = locate(
-            GpsStatus(False, False, None), beacons, est, SelectionPolicy(), ORIGIN
+            None, beacons, est, SelectionPolicy(), ORIGIN
         )
         x = fix.local_position.x_m
         assert est.segment_start_m <= x <= est.segment_end_m
@@ -556,7 +554,6 @@ def test_weaker_duplicate_reading_leaves_the_fix(kind, weaker_first):
     # `locate` keeps each RSU's strongest reading: a weaker copy of a
     # selected RSU would be picked first by the weakest-first selection, and
     # read last into the network's input vector
-    gps = GpsStatus(False, False, None)
     if kind == "poly":
         truth = (150.0, 80.0, 1.10)
         beacons = [
@@ -569,13 +566,13 @@ def test_weaker_duplicate_reading_leaves_the_fix(kind, weaker_first):
         cell = dict(zip(survey.rsu_ids(), survey.rss_dbm[survey.x_m == 100.0][0]))
         beacons = [Beacon(rsu=r, rss_dbm=cell[r.id]) for r in layout.rsus]
         hint = None
-    fix = locate(gps, beacons, est, SelectionPolicy(), ORIGIN, hint=hint)
+    fix = locate(None, beacons, est, SelectionPolicy(), ORIGIN, hint=hint)
     strong = beacons[1]
     assert strong.rsu.id in fix.used_rsu_ids
     weak = Beacon(rsu=strong.rsu, rss_dbm=strong.rss_dbm - 3.0)
     pair = [weak, strong] if weaker_first else [strong, weak]
     doubled = [beacons[0], *pair, beacons[2]]
-    assert locate(gps, doubled, est, SelectionPolicy(), ORIGIN, hint=hint) == fix
+    assert locate(None, doubled, est, SelectionPolicy(), ORIGIN, hint=hint) == fix
 
 
 class TestValidateDeployment:
@@ -595,10 +592,6 @@ class TestValidateDeployment:
 
 
 class TestTypes:
-    def test_gps_status_invariant(self):
-        with pytest.raises(ValueError):
-            GpsStatus(True, True, None)
-
     def test_rss_fix_needs_rsus(self):
         with pytest.raises(ValueError):
             PositionFix(
