@@ -15,7 +15,7 @@ from vanetpos.channel import (
 )
 from vanetpos.errors import InsufficientAnchors, NoCoverage
 from vanetpos.fit import Polynomial4, evaluate_poly4, filter_near_field, fit_poly4
-from vanetpos.geometry import GlobalPosition, LocalPoint, multilaterate
+from vanetpos.geometry import GlobalPosition, LocalPoint, multilaterate, to_global
 from vanetpos.geometry import AnchorRange, fuse_fixes
 from vanetpos.positioning import (
     Beacon,
@@ -269,22 +269,41 @@ class TestLocate:
         assert fix.used_rsu_ids == ()
         assert fix.quality_m == 0.0
 
-    @pytest.mark.parametrize("n_heard", [2, 3])
-    def test_decision_table_rss_cases(self, n_heard):
-        # without a DGPS fix, the RSS path ranges every clean beacon heard
+    @pytest.mark.parametrize(
+        "sats,corr", [(True, False), (False, True), (False, False)]
+    )
+    def test_decision_table_rss_cases(self, sats, corr):
+        # a receiver short of satellites or of corrections has no DGPS fix
         truth = LocalPoint(150.0, 80.0, 1.10)
         anchors = {"a": 0.0, "b": 150.0, "c": 300.0}
         beacons = []
-        for rsu_id, x in list(anchors.items())[:n_heard]:
+        for rsu_id, x in anchors.items():
             d = math.dist((x, 0.0, 1.10), (truth.x_m, truth.y_m, truth.z_m))
             ch = {"a": 1, "b": 7, "c": 13}[rsu_id]
+            beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d)))
+        dgps = to_global(truth, ORIGIN) if sats and corr else None
+        fix = locate(
+            dgps, beacons, self.estimator_three_rsus(), self.policy(), ORIGIN,
+            hint=LocalPoint(140.0, 70.0, 1.10),
+        )
+        assert fix.source is FixSource.RSS
+        assert set(fix.used_rsu_ids) == set(anchors)
+
+    def test_rss_ranges_two_beacons_heard(self):
+        # two clean beacons are enough for an RSS fix without DGPS
+        truth = LocalPoint(150.0, 80.0, 1.10)
+        anchors = {"a": 0.0, "b": 150.0}
+        beacons = []
+        for rsu_id, x in anchors.items():
+            d = math.dist((x, 0.0, 1.10), (truth.x_m, truth.y_m, truth.z_m))
+            ch = {"a": 1, "b": 7}[rsu_id]
             beacons.append(beacon(rsu_id, x, ch, rss_for_distance(d)))
         fix = locate(
             None, beacons, self.estimator_three_rsus(), self.policy(), ORIGIN,
             hint=LocalPoint(140.0, 70.0, 1.10),
         )
         assert fix.source is FixSource.RSS
-        assert set(fix.used_rsu_ids) == set(list(anchors)[:n_heard])
+        assert set(fix.used_rsu_ids) == set(anchors)
 
     def test_noiseless_ranges_recover_truth(self):
         truth = LocalPoint(150.0, 80.0, 1.10)
