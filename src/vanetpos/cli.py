@@ -414,7 +414,7 @@ def drive(config: ScenarioConfig, seed: int) -> Iterator[Tuple[float, PositionFi
         grid.x_m.tolist(), grid.rss_dbm.tolist(), (~in_outage).tolist()
     ):
         beacons = () if dgps_ok else [  # a DGPS fix reads no beacon
-            Beacon(rsu=rsu, rss_dbm=r)
+            Beacon(rsu, r)
             for rsu, r in zip(grid.rsus, rss)
             if r > heard_dbm
         ]

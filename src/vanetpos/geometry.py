@@ -179,6 +179,9 @@ def _gauss_newton(
     lam * trace > 0), so it is not bitwise equal to numpy's LAPACK path.
     Each point is evaluated once: a trial also sums the normal equations
     (with the clamped objective) that the next iteration takes if it wins.
+    A trial is rejected at the anchor whose square takes its partial
+    objective past the acceptance bound: a float sum of non-negative squares
+    never decreases, and a NaN or inf objective still fails the final test.
     """
     lam = 1e-3
     stagnant = 0
@@ -192,6 +195,7 @@ def _gauss_newton(
         n00, n01, n11 = n00 + jx * jx, n01 + jx * jy, n11 + jy * jy
         g0, g1 = g0 + jx * res, g1 + jy * res
     for _ in range(_GN_MAX_ITERS):
+        bound = prev_obj + 1e-18
         for _ in range(40):
             a00, a11 = n00 + lam, n11 + lam
             det = a00 * a11 - n01 * n01
@@ -205,13 +209,15 @@ def _gauss_newton(
                     dist = math.sqrt(dx * dx + dy * dy + dz2)
                     res = dist - r
                     obj += res * res  # the acceptance test is unclamped
+                    if obj > bound:
+                        break
                     if dist < 1e-12:  # max(dist, 1e-12), as at the start
                         dist, res = 1e-12, 1e-12 - r
                     cobj += res * res
                     jx, jy = dx / dist, dy / dist
                     m00, m01, m11 = m00 + jx * jx, m01 + jx * jy, m11 + jy * jy
                     h0, h1 = h0 + jx * res, h1 + jy * res
-                if math.isfinite(obj) and obj <= prev_obj + 1e-18:
+                if math.isfinite(obj) and obj <= bound:
                     break
             lam *= 10.0
         else:

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Container, Dict, List, NamedTuple
+from typing import Optional, Sequence, Tuple, Union
 
 from .channel import WIFI_CHANNEL_MAX, WIFI_CHANNEL_MIN, Rsu, channels_overlap
 from .errors import InsufficientAnchors, NoCoverage
-from .fit import Polynomial4, evaluate_poly4
+from .fit import Polynomial4
 from .geometry import (
     AnchorRange,
     GlobalPosition,
@@ -54,8 +56,7 @@ class SelectionPolicy:
             raise ValueError("near_field_m must be >= 0")
 
 
-@dataclass(frozen=True)
-class Beacon:
+class Beacon(NamedTuple):
     """One beacon heard in the current window: the RSU plus measured RSS."""
 
     rsu: Rsu
@@ -137,10 +138,12 @@ _CHANNELS = range(WIFI_CHANNEL_MIN, WIFI_CHANNEL_MAX + 1)
 _BLOCKS = {
     c: sum(1 << o for o in _CHANNELS if channels_overlap(c, o)) for c in _CHANNELS
 }
+_ALL_BLOCKED = sum(1 << c for c in _CHANNELS)
+_WEAKEST_FIRST = operator.attrgetter("rss_dbm", "rsu.id")
 
 
 def select_rsus(
-    beacons: Sequence[Beacon],
+    beacons: Collection[Beacon],
     is_good: Callable[[Beacon], bool],
     policy: SelectionPolicy,
 ) -> Tuple[List[Beacon], bool]:
@@ -151,16 +154,17 @@ def select_rsus(
     clamp. Not degraded: every good beacon the weakest-first greedy pass
     keeps on mutually non-overlapping channels (all if the channel rule is
     off), when that reaches `min_rsu_count`; a beacon on a channel blocked
-    by an earlier pick is never ranged. Else, degraded: the first
-    `min_rsu_count` of the good beacons, then the bad, each weakest first.
-    No beacon is ranged twice.
+    by an earlier pick is never ranged, and the pass stops once the picks
+    block every channel. Else, degraded: the first `min_rsu_count` of the
+    good beacons, then the bad, each weakest first. No beacon is ranged
+    twice.
     """
     needed = policy.min_rsu_count
     if len(beacons) < needed:
         raise InsufficientAnchors(
             f"{len(beacons)} calibrated RSUs heard, need {needed}"
         )
-    ordered = sorted(beacons, key=lambda b: (b.rss_dbm, b.rsu.id))
+    ordered = sorted(beacons, key=_WEAKEST_FIRST)
     picked: List[Beacon] = []
     good_by_id: Dict[str, bool] = {}
     blocked = 0
@@ -171,6 +175,8 @@ def select_rsus(
                 picked.append(b)
                 if policy.require_distinct_channels:
                     blocked |= _BLOCKS[b.rsu.channel]
+                    if blocked == _ALL_BLOCKED:
+                        break  # no later beacon could be picked
     if len(picked) >= needed:
         return picked, False
     for b in ordered:  # range what the pass skipped
@@ -184,7 +190,8 @@ def rss_to_range(cal: CalibratedPoly, rss_dbm: float) -> Tuple[float, bool]:
 
     RSS outside the calibration domain is evaluated at the nearest domain
     edge (the quartic diverges outside its fit range); negative outputs
-    clamp to zero. The flag reports whether any clamp fired.
+    clamp to zero. The flag reports whether any clamp fired. The quartic
+    is `fit.evaluate_poly4`'s Horner form, written out.
     """
     clamped = False
     r = rss_dbm
@@ -192,37 +199,44 @@ def rss_to_range(cal: CalibratedPoly, rss_dbm: float) -> Tuple[float, bool]:
         r, clamped = cal.rss_min_dbm, True
     elif r > cal.rss_max_dbm:
         r, clamped = cal.rss_max_dbm, True
-    value = float(evaluate_poly4(cal.poly, r))
+    p = cal.poly
+    value = float((((p.p1 * r + p.p2) * r + p.p3) * r + p.p4) * r + p.p5)
     if value < 0.0:
         value, clamped = 0.0, True
     return value, clamped
 
 
-def _dedupe_strongest(beacons: Sequence[Beacon]) -> List[Beacon]:
+def _strongest_by_rsu(
+    beacons: Sequence[Beacon], known: Container[str]
+) -> Dict[str, Beacon]:
+    """The strongest reading of each RSU in `known`, in first-heard order."""
     best: Dict[str, Beacon] = {}
     for b in beacons:
-        cur = best.get(b.rsu.id)
-        if cur is None or b.rss_dbm > cur.rss_dbm:
-            best[b.rsu.id] = b
-    return list(best.values())
+        rsu_id = b.rsu.id
+        if rsu_id in known:
+            cur = best.get(rsu_id)
+            if cur is None or b.rss_dbm > cur.rss_dbm:
+                best[rsu_id] = b
+    return best
 
 
 def _locate_polynomial(
-    beacons: List[Beacon],
+    beacons: Sequence[Beacon],
     estimator: PolynomialRangeEstimator,
     policy: SelectionPolicy,
     hint: Optional[LocalPoint],
 ) -> Tuple[LocalPoint, Tuple[str, ...], float]:
     # deprioritize anchors inside the near-field chaos zone or outside
     # their calibrated RSS domain; use them only to reach the minimum count
+    by_rsu = estimator.by_rsu
     ranges_m: Dict[str, float] = {}
 
     def is_good(b: Beacon) -> bool:
-        range_m, clamped = rss_to_range(estimator.by_rsu[b.rsu.id], b.rss_dbm)
+        range_m, clamped = rss_to_range(by_rsu[b.rsu.id], b.rss_dbm)
         ranges_m[b.rsu.id] = range_m
         return not clamped and range_m >= policy.near_field_m
 
-    calibrated = [b for b in beacons if b.rsu.id in estimator.by_rsu]
+    calibrated = _strongest_by_rsu(beacons, by_rsu).values()
     selected, degraded = select_rsus(calibrated, is_good, policy)
 
     ranges = [
@@ -241,18 +255,18 @@ def _locate_polynomial(
         local = multilaterate(ranges, hint=hint)
 
     used = tuple(b.rsu.id for b in selected)
-    quality = max(estimator.by_rsu[r].rmse_m for r in used)
+    quality = max(by_rsu[r].rmse_m for r in used)
     if degraded:  # the only way a clamped (bad) RSU is selected
         quality *= 2.0
     return local, used, quality
 
 
 def _locate_nn(
-    beacons: List[Beacon],
+    beacons: Sequence[Beacon],
     estimator: NnPositionEstimator,
     policy: SelectionPolicy,
 ) -> Tuple[LocalPoint, Tuple[str, ...], float]:
-    by_id = {b.rsu.id: b for b in beacons}
+    by_id = _strongest_by_rsu(beacons, estimator.rsu_order)
     heard = [r for r in estimator.rsu_order if r in by_id]
     if len(heard) < policy.min_rsu_count:
         raise InsufficientAnchors(
@@ -305,12 +319,11 @@ def locate(
 
     if not beacons:
         raise NoCoverage("no GPS and no beacons heard")
-    unique = _dedupe_strongest(beacons)
 
     if isinstance(estimator, PolynomialRangeEstimator):
-        local, used, quality = _locate_polynomial(unique, estimator, policy, hint)
+        local, used, quality = _locate_polynomial(beacons, estimator, policy, hint)
     else:
-        local, used, quality = _locate_nn(unique, estimator, policy)
+        local, used, quality = _locate_nn(beacons, estimator, policy)
 
     return PositionFix(
         global_position=to_global(local, origin),

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -227,8 +228,9 @@ class TestRssToRange:
         assert rng == 0.0
         assert clamped is True
 
-    def test_monotone_over_fitted_domain(self):
-        # weaker RSS means farther: scan the fitted synthetic quartic
+    @staticmethod
+    def fitted_cal():
+        """The quartic fitted to one RSU of a synthetic survey."""
         model = ChannelModel(
             far_sigma_db=0.25, near_sigma_db=2.0, rss_floor_dbm=-130.0
         )
@@ -236,15 +238,42 @@ class TestRssToRange:
         survey = generate_survey(layout, model, seed=13)
         kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
         poly, report = fit_poly4(kept)
-        cal = CalibratedPoly(
+        return CalibratedPoly(
             poly=poly,
             rss_min_dbm=kept.rss_min,
             rss_max_dbm=kept.rss_max,
             rmse_m=report.rmse,
         )
+
+    def test_monotone_over_fitted_domain(self):
+        # weaker RSS means farther: scan the fitted synthetic quartic
+        cal = self.fitted_cal()
         grid = np.arange(cal.rss_min_dbm, cal.rss_max_dbm, 0.1)
         ranges = [rss_to_range(cal, float(r))[0] for r in grid]
         assert all(a > b for a, b in zip(ranges, ranges[1:]))
+
+    def test_quartic_is_evaluate_poly4_bit_for_bit(self):
+        # the quartic written out in `rss_to_range` is `evaluate_poly4`'s
+        # Horner form; lowered by 150 m it also clamps at the strong end
+        cal = self.fitted_cal()
+        lowered = replace(cal, poly=replace(cal.poly, p5=cal.poly.p5 - 150.0))
+        outcomes = set()
+        for c in (cal, lowered):
+            lo, hi = c.rss_min_dbm, c.rss_max_dbm
+            grid = np.linspace(lo - 10.0, hi + 10.0, 301)
+            for r in [*grid.tolist(), lo, hi, *grid[::50]]:  # floats, np.float64
+                rng, clamped = rss_to_range(c, r)
+                edge = min(max(r, lo), hi)
+                want = evaluate_poly4(c.poly, edge)
+                assert type(rng) is float
+                assert rng.hex() == (0.0 if want < 0.0 else want).hex(), r
+                assert clamped == (edge != r or want < 0.0)
+                outcomes.add((r < lo, r > hi, want < 0.0))
+        # inside the domain, beyond both edges, and clamped to 0 m
+        assert {
+            (False, False, False), (True, False, False), (False, True, False),
+            (False, False, True), (False, True, True),
+        } <= outcomes
 
 
 class TestLocate:
@@ -500,7 +529,11 @@ class TestLocate:
             self.policy(),
             ORIGIN,
         )
-        assert locate(*args, hint=truth) == locate(*args, hint=truth)
+        fix = locate(*args, hint=truth)
+        assert locate(*args, hint=truth) == fix
+        # the same readings heard in any order give the same fix
+        for heard in itertools.permutations(beacons):
+            assert locate(None, list(heard), *args[2:], hint=truth) == fix
 
 
 class TestLocateNn:
@@ -620,6 +653,14 @@ class TestTypes:
                 used_rsu_ids=(),
                 quality_m=1.0,
             )
+
+    def test_beacon_is_an_immutable_named_tuple(self):
+        rsu = Rsu(id="a", position=LocalPoint(0.0, 0.0, 1.10), channel=1)
+        b = Beacon(rsu, -70.0)
+        assert b == Beacon(rsu=rsu, rss_dbm=-70.0)
+        for field in ("rsu", "rss_dbm"):
+            with pytest.raises(AttributeError):
+                setattr(b, field, None)
 
     def test_policy_min_count(self):
         with pytest.raises(ValueError):
