@@ -5,11 +5,15 @@ to [-1, 1] on the training split only. Training is full-batch gradient
 descent (classical momentum) with early stopping on the validation set:
 the returned weights are the snapshot from the best validation epoch. The
 sweep trains one network per (hidden size, seed) pair and ranks the
-results the way the experiment logs report them. All seeds of one hidden
-size train together as one stack of networks, each on its own split,
-bit-identical to training each network alone. A stack's parameters,
-velocities and gradients are one (S, K) array each, updated in place; row
-s holds network s's w1 (row-major), b1, w2 and b2, K = h*i + 2h + 1.
+results the way the experiment logs report them. The whole grid trains
+as one stack, each network on its own split, bit-identical to training it
+alone. Rows are ordered by hidden size, one block of rows per size; the
+parameters, velocities and gradients are one (S, K) array each, updated in
+place: a row holds one network's w1 (row-major), b1 and w2, zeros up to
+K - 1, and b2 in the last column, K = h_max*(i + 2) + 1. Each lockstep
+epoch runs the matmuls, b1 add, tanh and hidden-layer gradients per block,
+then the output gradient, MSEs, b2, momentum and patience updates once
+over all rows.
 """
 
 from __future__ import annotations
@@ -173,28 +177,52 @@ def _denormalize_output(model: MlpModel, yn):
 
 
 def _stack_params(models: Sequence[MlpModel]) -> np.ndarray:
-    """The (S, K) parameter buffer of same-shaped models, a row each."""
-    rows = [np.concatenate((m.w1.ravel(), m.b1, m.w2, [m.b2])) for m in models]
-    return np.array(rows)
+    """The (S, K) parameter buffer of `models`, a row each (module docstring)."""
+    width = max(m.n_hidden for m in models) * (models[0].n_inputs + 2) + 1
+    buf = np.zeros((len(models), width))
+    for row, m in zip(buf, models):
+        w = np.concatenate((m.w1.ravel(), m.b1, m.w2))
+        row[: w.size], row[-1] = w, m.b2
+    return buf
 
 
-def _param_views(buf: np.ndarray, n_hidden: int) -> List[np.ndarray]:
-    """[w1, b1, w2, b2] of S networks as views into their (S, K) buffer."""
-    i = buf.shape[1] - 2 * n_hidden - 1  # w1's size
-    w1, b1, w2 = buf[:, :i], buf[:, i : i + n_hidden], buf[:, i + n_hidden : -1]
-    return [w1.reshape(len(buf), n_hidden, -1), b1, w2, buf[:, -1]]
+def _param_views(buf: np.ndarray, blocks: Sequence[Tuple[int, int]]):
+    """Per nonempty block, (rows, [w1 (s, h, i), b1 (s, 1, h), w2 (s, h, 1)]),
+    and b2 (S, 1), as views into an (S, K) buffer.
 
-
-def _stack_forward(params: List[np.ndarray], xn: np.ndarray):
-    """Hidden activations (S, n, h) and outputs (S, n) of S networks.
-
-    Slice s of `xn` (S, n, n_inputs) goes through network s with the same
-    BLAS calls a single network makes, so stacking does not change a
-    single bit of the results.
+    `blocks` lists (hidden size, row count) in row order; an emptied block
+    stays listed, because the widest hidden size fixes K.
     """
-    w1, b1, w2, b2 = params
-    h1 = np.tanh(xn @ w1.transpose(0, 2, 1) + b1[:, None, :])
-    return h1, (h1 @ w2[:, :, None])[:, :, 0] + b2[:, None]
+    n_inputs = (buf.shape[1] - 1) // max(h for h, _ in blocks) - 2
+    views, start = [], 0
+    for h, count in blocks:
+        if count:
+            rows, k = slice(start, start + count), h * n_inputs
+            w1, b = buf[rows, :k].reshape(count, h, n_inputs), buf[rows]
+            b1, w2 = b[:, None, k : k + h], b[:, k + h : k + 2 * h, None]
+            views.append((rows, [w1, b1, w2]))
+            start += count
+    return views, buf[:, -1:]
+
+
+def _stack_forward(params, xn: Sequence[np.ndarray]):
+    """Hidden activations (one (s, n, h) array per block) and outputs (S, n).
+
+    `xn` holds each block's (s, n, n_inputs) inputs. Slice s goes through
+    network s with the same BLAS calls a single network makes, so stacking
+    does not change a single bit of the results.
+    """
+    views, b2 = params
+    out = np.empty((len(b2), xn[0].shape[1], 1))
+    h1s = []
+    for (rows, (w1, b1, w2)), x in zip(views, xn):
+        h1 = x @ w1.transpose(0, 2, 1)
+        h1 += b1
+        h1s.append(np.tanh(h1, out=h1))
+        np.matmul(h1, w2, out=out[rows])
+    pred = out[:, :, 0]
+    pred += b2
+    return h1s, pred
 
 
 def _mse(pred: np.ndarray, yn: np.ndarray) -> np.ndarray:
@@ -202,24 +230,30 @@ def _mse(pred: np.ndarray, yn: np.ndarray) -> np.ndarray:
     return np.add.reduce((pred - yn) ** 2, axis=1) / yn.shape[1]
 
 
-def _stack_gradients(w2, xn, yn, h1, pred, out) -> None:
-    """Backpropagate each network's batch MSE into out = [w1, b1, w2, b2].
+def _stack_gradients(params, xn, yn, h1s, pred, out) -> None:
+    """Backpropagate each network's batch MSE into `out`, the
+    `_param_views` of a gradient buffer; `xn` as for `_stack_forward`.
 
-    Takes the forward pass (h1, pred) as arguments, so a training epoch
+    Takes the forward pass (h1s, pred) as arguments, so a training epoch
     reuses the pass that measured the previous epoch's training loss.
     """
-    d_pred = 2.0 * (pred - yn) / xn.shape[1]  # (S, n)
-    d_a1 = d_pred[:, :, None] * w2[:, None, :] * (1.0 - h1**2)
-    np.matmul(d_a1.transpose(0, 2, 1), xn, out=out[0])
-    np.add.reduce(d_a1, axis=1, out=out[1])
-    np.matmul(h1.transpose(0, 2, 1), d_pred[:, :, None], out=out[2][:, :, None])
-    np.add.reduce(d_pred, axis=1, out=out[3])
+    d_pred = 2.0 * (pred - yn) / yn.shape[1]  # (S, n)
+    grads, g_b2 = out
+    for (rows, (_, _, w2)), x, h1, (_, (g_w1, g_b1, g_w2)) in zip(
+        params[0], xn, h1s, grads
+    ):
+        d = d_pred[rows, :, None]
+        d_a1 = d * w2.transpose(0, 2, 1) * (1.0 - h1**2)
+        np.matmul(d_a1.transpose(0, 2, 1), x, out=g_w1)
+        np.add.reduce(d_a1, axis=1, keepdims=True, out=g_b1)
+        np.matmul(h1.transpose(0, 2, 1), d, out=g_w2)
+    np.add.reduce(d_pred, axis=1, keepdims=True, out=g_b2)
 
 
 def _predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
     xn = _normalize(x, model.in_min, model.in_max)
-    params = _param_views(_stack_params([model]), model.n_hidden)
-    pred = _stack_forward(params, xn[None])[1][0]
+    params = _param_views(_stack_params([model]), [(model.n_hidden, 1)])
+    pred = _stack_forward(params, [xn[None]])[1][0]
     return _denormalize_output(model, pred)
 
 
@@ -247,8 +281,8 @@ def batch_loss(model: MlpModel, inputs: np.ndarray, targets: np.ndarray) -> floa
     """Mean squared error in the normalized output space."""
     xn = _normalize(np.asarray(inputs, dtype=float), model.in_min, model.in_max)
     yn = _normalize(np.asarray(targets, dtype=float), model.out_min, model.out_max)
-    params = _param_views(_stack_params([model]), model.n_hidden)
-    pred = _stack_forward(params, xn[None])[1]
+    params = _param_views(_stack_params([model]), [(model.n_hidden, 1)])
+    pred = _stack_forward(params, [xn[None]])[1]
     return float(_mse(pred, yn[None])[0])
 
 
@@ -265,13 +299,13 @@ def gradients(
             f"batch shape {x.shape} vs targets {y.shape} does not match "
             f"a {model.n_inputs}-input model"
         )
-    xn = _normalize(x, model.in_min, model.in_max)[None]
+    xn = [_normalize(x, model.in_min, model.in_max)[None]]
     yn = _normalize(y, model.out_min, model.out_max)[None]
-    params = _param_views(_stack_params([model]), model.n_hidden)
-    h1, pred = _stack_forward(params, xn)
-    g_w1, g_b1, g_w2, g_b2 = grads = [np.empty_like(p) for p in params]
-    _stack_gradients(params[2], xn, yn, h1, pred, grads)
-    return Gradients(w1=g_w1[0], b1=g_b1[0], w2=g_w2[0], b2=float(g_b2[0]))
+    buf, blocks = _stack_params([model]), [(model.n_hidden, 1)]
+    params, grads = (_param_views(b, blocks) for b in (buf, np.empty_like(buf)))
+    _stack_gradients(params, xn, yn, *_stack_forward(params, xn), grads)
+    [(_, (g_w1, g_b1, g_w2))], g_b2 = grads
+    return Gradients(w1=g_w1[0], b1=g_b1[0, 0], w2=g_w2[0, :, 0], b2=float(g_b2[0, 0]))
 
 
 def _train_stack(
@@ -279,23 +313,30 @@ def _train_stack(
     dataset: NnDataset,
     splits: Sequence[SplitIndices],
     config: TrainConfig,
-) -> Tuple[List[MlpModel], List[List[Tuple[float, float]]]]:
-    """Train S same-shaped networks at once, network s on splits[s].
+) -> Tuple[List[MlpModel], List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Train S networks at once, network s on splits[s], in lockstep epochs.
 
-    Every network keeps its own min-max normalization (fitted on its
-    training split), momentum, best-validation snapshot and patience
-    counter; a network whose patience runs out leaves the stack. Returns
-    the best snapshots and, per network, its per-epoch normalized
-    (train MSE, validation MSE).
+    The networks may differ in hidden size: the stack orders them by it,
+    so each hidden size is one block of rows. Every network keeps its own
+    min-max normalization (fitted on its training split), momentum,
+    best-validation snapshot and patience counter; a network whose patience
+    runs out leaves the stack. Returns the best snapshots, in the order of
+    `models`, and per epoch the arrays (networks still training, as indices
+    into `models`; their normalized train MSEs; their validation MSEs).
     """
     n_nets = len(models)
-    rows_tr = np.array([s.train for s in splits], dtype=int)
-    rows_va = np.array([s.validation for s in splits], dtype=int)
+    order = sorted(range(n_nets), key=lambda s: models[s].n_hidden)
+    rows_tr = np.array([splits[s].train for s in order], dtype=int)
+    rows_va = np.array([splits[s].validation for s in order], dtype=int)
     x_tr, y_tr = dataset.inputs[rows_tr], dataset.targets[rows_tr]
     in_min, in_max = x_tr.min(axis=1), x_tr.max(axis=1)
     out_min, out_max = y_tr.min(axis=1), y_tr.max(axis=1)
-    if np.any(in_max - in_min <= 0):
-        raise VanetPosError("degenerate input range in the training split")
+    flat = np.any(in_max - in_min <= 0, axis=0)
+    if flat.any():
+        names = ", ".join(n for n, f in zip(dataset.feature_names, flat) if f)
+        raise VanetPosError(
+            f"degenerate input range in the training split: constant RSS from {names}"
+        )
     if np.any(out_max - out_min <= 0):
         raise VanetPosError("degenerate target range in the training split")
     # normalized once per call, each network with its own ranges
@@ -306,32 +347,48 @@ def _train_stack(
     xn_va = _normalize(dataset.inputs[rows_va], x_lo, x_hi)
     yn_va = _normalize(dataset.targets[rows_va], y_lo, y_hi)
     has_val = rows_va.shape[1] > 0
+    del x_tr, y_tr  # the whole grid's raw copies: keep only the normalized ones
 
-    hidden = models[0].n_hidden
-    packed = _stack_params(models)  # row s: network s's parameters
-    best, velocity, grads = packed.copy(), np.zeros_like(packed), np.empty_like(packed)
-    params, grad_views = (_param_views(b, hidden) for b in (packed, grads))
+    hidden = np.array([models[s].n_hidden for s in order])
+    sizes = sorted(set(hidden.tolist()))
+
+    def layout(rows) -> List[Tuple[int, int]]:
+        return [(h, np.count_nonzero(hidden[rows] == h)) for h in sizes]
+
+    def block_views():
+        # made again only when the stack compacts: making them every epoch
+        # costs about what the lockstep saves
+        params = _param_views(packed, layout(live))
+        rows = [r for r, _ in params[0]]
+        return (params, _param_views(grads, layout(live)),
+                [xn_tr[r] for r in rows], [xn_va[r] for r in rows])
+
+    packed = _stack_params([models[s] for s in order])  # row r: network order[r]
+    best, velocity, grads = packed.copy(), np.zeros_like(packed), np.zeros_like(packed)
+    live = np.arange(n_nets)  # stack slot -> row
+    nets = np.array(order)  # stack slot -> network
+
+    params, grad_views, xb_tr, xb_va = block_views()
     best_val = np.full(n_nets, math.inf)
     if has_val:
-        best_val = _mse(_stack_forward(params, xn_va)[1], yn_va)
+        best_val = _mse(_stack_forward(params, xb_va)[1], yn_va)
     epochs_since_best = np.zeros(n_nets, dtype=int)
-    live = np.arange(n_nets)  # stack slot -> network
-    mses = []  # per epoch: (live, train MSE, validation MSE)
+    mses = []  # per epoch: (nets, train MSE, validation MSE)
 
-    h1, pred = _stack_forward(params, xn_tr)
+    h1s, pred = _stack_forward(params, xb_tr)
     for _ in range(config.max_epochs):
-        _stack_gradients(params[2], xn_tr, yn_tr, h1, pred, grad_views)
+        _stack_gradients(params, xb_tr, yn_tr, h1s, pred, grad_views)
         velocity *= config.momentum
         grads *= config.learning_rate
         velocity -= grads
         packed += velocity
 
-        h1, pred = _stack_forward(params, xn_tr)
+        h1s, pred = _stack_forward(params, xb_tr)
         train_mse = _mse(pred, yn_tr)
         val_mse = (
-            _mse(_stack_forward(params, xn_va)[1], yn_va) if has_val else train_mse
+            _mse(_stack_forward(params, xb_va)[1], yn_va) if has_val else train_mse
         )
-        mses.append((live, train_mse, val_mse))
+        mses.append((nets, train_mse, val_mse))
         improved = val_mse < best_val
         if improved.any():
             best_val[improved] = val_mse[improved]
@@ -340,29 +397,29 @@ def _train_stack(
         keep = epochs_since_best < config.patience
         if not keep.all():
             # compact only when a network stops: indexing every epoch costs more
-            live = live[keep]
+            live, nets = live[keep], nets[keep]
             if not live.size:
                 break
+            h1s = [h1[keep[rows]] for (rows, _), h1 in zip(params[0], h1s)]
+            h1s = [h1 for h1 in h1s if len(h1)]
             packed, velocity, grads = packed[keep], velocity[keep], grads[keep]
-            params, grad_views = (_param_views(b, hidden) for b in (packed, grads))
             best_val, epochs_since_best = best_val[keep], epochs_since_best[keep]
-            xn_tr, yn_tr, xn_va, yn_va, h1, pred = (
-                a[keep] for a in (xn_tr, yn_tr, xn_va, yn_va, h1, pred)
+            xn_tr, yn_tr, xn_va, yn_va, pred = (
+                a[keep] for a in (xn_tr, yn_tr, xn_va, yn_va, pred)
             )
+            params, grad_views, xb_tr, xb_va = block_views()
 
-    history: List[List[Tuple[float, float]]] = [[] for _ in models]
-    for s, t, v in zip(*(np.concatenate(c).tolist() for c in zip(*mses))):
-        history[s].append((t, v))
-    w1, b1, w2, b2 = _param_views(best, hidden)
-    trained = [
-        replace(
-            m, w1=w1[s].copy(), b1=b1[s].copy(), w2=w2[s].copy(), b2=float(b2[s]),
-            in_min=in_min[s], in_max=in_max[s],
-            out_min=float(out_min[s]), out_max=float(out_max[s]),
-        )
-        for s, m in enumerate(models)
-    ]
-    return trained, history
+    trained = [models[s] for s in order]
+    views, b2 = _param_views(best, layout(slice(None)))
+    for rows, block in views:
+        for r, w1, b1, w2 in zip(range(rows.start, rows.stop), *block):
+            trained[r] = replace(
+                trained[r], w1=w1.copy(), b1=b1[0].copy(), w2=w2[:, 0].copy(),
+                b2=float(b2[r, 0]),
+                in_min=in_min[r], in_max=in_max[r],
+                out_min=float(out_min[r]), out_max=float(out_max[r]),
+            )
+    return [trained[r] for r in np.argsort(order)], mses
 
 
 def train(
@@ -379,11 +436,11 @@ def train(
     """
     if len(splits.train) == 0:
         raise TooFewSamples("training split is empty")
-    [best], [history] = _train_stack([model], dataset, [splits], config)
+    [best], records = _train_stack([model], dataset, [splits], config)
     to_m2 = ((best.out_max - best.out_min) / 2.0) ** 2
     return best, [
-        EpochRecord(epoch=e, train_mse_m2=t * to_m2, val_mse_m2=v * to_m2)
-        for e, (t, v) in enumerate(history, start=1)
+        EpochRecord(epoch=e, train_mse_m2=float(t) * to_m2, val_mse_m2=float(v) * to_m2)
+        for e, (_, [t], [v]) in enumerate(records, start=1)
     ]
 
 
@@ -408,8 +465,11 @@ def dataset_from_columns(samples) -> NnDataset:
     rows = []
     for x in xs:
         cell = by_cell[x]
-        if set(ids) - set(cell.keys()):
-            raise VanetPosError(f"incomplete survey grid at x={x}")
+        missing = [r for r in ids if r not in cell]
+        if missing:
+            raise VanetPosError(
+                f"incomplete survey grid at x={x}: no reading from {', '.join(missing)}"
+            )
         rows.append([cell[r] for r in ids])
     return NnDataset(
         inputs=np.asarray(rows, dtype=float),
@@ -429,20 +489,21 @@ def sweep(dataset: NnDataset, config: SweepConfig) -> Tuple[SweepRow, ...]:
         raise TooFewSamples(
             f"a 2-row test split needs >= {_MIN_SWEEP_ROWS} positions, got {dataset.n}"
         )
-    results = []
+    grid = [(hidden, seed) for hidden in config.hidden_sizes for seed in config.seeds]
+    if not grid:
+        return ()
+    by_seed = {seed: split_dataset(dataset.n, seed) for seed in config.seeds}
+    splits = [by_seed[seed] for _, seed in grid]
     n_inputs = dataset.inputs.shape[1]
-    for hidden in config.hidden_sizes if config.seeds else ():
-        splits = [split_dataset(dataset.n, seed) for seed in config.seeds]
-        models = [init_mlp(n_inputs, hidden, seed) for seed in config.seeds]
-        trained, _ = _train_stack(models, dataset, splits, config.train)
-        for seed, split, model in zip(config.seeds, splits, trained):
-            pred_all = forward_batch(model, dataset.inputs)
-            test_idx = list(split.test)
-            report_test = regression_metrics(
-                dataset.targets[test_idx], pred_all[test_idx]
-            )
-            report_all = regression_metrics(dataset.targets, pred_all)
-            results.append((hidden, seed, report_test, report_all))
+    models = [init_mlp(n_inputs, hidden, seed) for hidden, seed in grid]
+    trained = _train_stack(models, dataset, splits, config.train)[0]
+    results = []
+    for (hidden, seed), split, model in zip(grid, splits, trained):
+        pred_all = forward_batch(model, dataset.inputs)
+        test_idx = list(split.test)
+        report_test = regression_metrics(dataset.targets[test_idx], pred_all[test_idx])
+        report_all = regression_metrics(dataset.targets, pred_all)
+        results.append((hidden, seed, report_test, report_all))
     results.sort(
         key=lambda r: (r[3].mse, r[3].max_abs_error, r[0], r[1])
     )

@@ -568,6 +568,22 @@ class TestSweepCommand:
         assert code == 2
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert lines[0].endswith("constant RSS from ap200")
+
+    def test_missing_reading_exit_2_names_position_and_rsu(
+        self, exp2_csv, tmp_path, capsys
+    ):
+        header, *rows = exp2_csv.read_text().splitlines()
+        kept = [r for r in rows if not r.startswith("5.0000,ap100,")]
+        assert len(kept) == len(rows) - 1
+        holed = tmp_path / "holed.csv"
+        holed.write_text("\n".join([header, *kept]) + "\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run(["sweep", holed, "--out", out], capsys)
+        assert code == 2 and not out.exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "x=5.0" in lines[0] and "ap100" in lines[0]
 
     def test_malformed_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

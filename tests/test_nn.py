@@ -99,6 +99,16 @@ def reference_train(model, dataset, splits, config):
     return best, history
 
 
+def stack_histories(records, n_nets):
+    """Per network, its normalized (train MSE, validation MSE) per epoch,
+    from the per-epoch records `nn._train_stack` returns."""
+    histories = [[] for _ in range(n_nets)]
+    for nets, train_mse, val_mse in records:
+        for s, t, v in zip(nets.tolist(), train_mse.tolist(), val_mse.tolist()):
+            histories[s].append((t, v))
+    return histories
+
+
 def reference_forward_batch(m, x):
     xn = 2.0 * (x - m.in_min) / (m.in_max - m.in_min) - 1.0
     yn = np.tanh(xn @ m.w1.T + m.b1) @ m.w2 + m.b2
@@ -475,6 +485,30 @@ class TestStackedTrainer:
         assert trained == ref_model
         assert history == ref_history
 
+    def test_mixed_hidden_sizes_in_one_stack_match_reference(self):
+        # hidden sizes interleaved; at patience 3 the h=4 block empties at
+        # epoch 38 and the h=3 block at 62, while the h=2 networks train on
+        ds = TestSweep.survey_dataset()
+        hidden, seeds = (4, 2, 4, 3, 2, 3), range(6)
+        models = [init_mlp(3, h, seed) for h, seed in zip(hidden, seeds)]
+        splits = [split_dataset(ds.n, seed) for seed in seeds]
+        config = TrainConfig(max_epochs=200, patience=3)
+        trained, records = nn._train_stack(models, ds, splits, config)
+        histories = stack_histories(records, len(models))
+        last_epoch = {}
+        for h, model, split, got, history in zip(
+            hidden, models, splits, trained, histories
+        ):
+            ref_model, ref_history = reference_train(model, ds, split, config)
+            assert got == ref_model
+            to_m2 = ((got.out_max - got.out_min) / 2.0) ** 2
+            assert [
+                EpochRecord(e, t * to_m2, v * to_m2)
+                for e, (t, v) in enumerate(history, start=1)
+            ] == ref_history
+            last_epoch[h] = max(last_epoch.get(h, 0), len(history))
+        assert last_epoch == {4: 38, 3: 62, 2: 75}
+
 
 MODEL_ARRAYS = ("w1", "b1", "w2", "in_min", "in_max")
 
@@ -525,9 +559,9 @@ class TestBufferOwnership:
         snapshots = [copy.deepcopy(m) for m in models]
         splits = [split_dataset(ds.n, seed) for seed in seeds]
         config = TrainConfig(max_epochs=200, patience=3)
-        trained, history = nn._train_stack(models, ds, splits, config)
+        trained, records = nn._train_stack(models, ds, splits, config)
         # some networks stopped while others trained on in a smaller stack
-        epochs = sorted(len(h) for h in history)
+        epochs = sorted(len(h) for h in stack_histories(records, len(models)))
         assert epochs[0] < epochs[-1]
         assert sorted({len(b) for b in stack_buffers})[0] < len(models)
         self.check(models, snapshots, trained, stack_buffers)
@@ -547,6 +581,7 @@ class TestBufferOwnership:
             hidden_sizes=(2, 3), seeds=(0, 1, 2), train=TrainConfig(max_epochs=60)
         )
         sweep(TestSweep.survey_dataset(), config)
-        assert len(calls) == 2
-        for models, snapshots, trained in calls:
-            self.check(models, snapshots, trained, stack_buffers)
+        # one lockstep stack holds the whole grid
+        [(models, snapshots, trained)] = calls
+        assert [(m.n_hidden, len(m.b1)) for m in trained] == [(2, 2)] * 3 + [(3, 3)] * 3
+        self.check(models, snapshots, trained, stack_buffers)
