@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
@@ -114,7 +113,7 @@ class SurveyLayout:
 class RssSample(NamedTuple):
     """One RSS reading: vehicle at x_m, heard from rsu_id.
 
-    A named tuple, so a survey column's samples are cheap to build.
+    A row of the survey CSV, as `read_survey_csv` returns it.
     """
 
     x_m: float
@@ -137,19 +136,6 @@ class SurveyDataset:
     x_m: np.ndarray
     distance_m: np.ndarray
     rss_dbm: np.ndarray
-
-    def for_rsu(self, rsu_id: str) -> List[RssSample]:
-        """One RSU's samples in position order, built from its column."""
-        for j, rsu in enumerate(self.rsus):
-            if rsu.id == rsu_id:
-                column = zip(
-                    self.x_m.tolist(),
-                    repeat(rsu_id),
-                    self.rss_dbm[:, j].tolist(),
-                    self.distance_m[:, j].tolist(),
-                )
-                return list(map(RssSample._make, column))
-        return []
 
     def rsu_ids(self) -> List[str]:
         return [r.id for r in self.rsus]

@@ -257,17 +257,20 @@ def calibrate_polynomial(
     cutoff_m: float,
     seed: int,
 ) -> PolynomialRangeEstimator:
-    """Fit one quartic per RSU from a fresh calibration survey.
+    """Fit one quartic per RSU, in id order, from a fresh calibration survey.
 
-    Each RSU's samples are built from its survey column only while that
-    RSU is fitted.
+    Each fit reads its RSU's RSS and distance columns of the survey grid.
+    A failed fit raises its error, named by the RSU.
     """
     survey = ch.generate_survey(layout, model, seed)
     by_rsu: Dict[str, CalibratedPoly] = {}
-    for rsu_id in survey.rsu_ids():
-        kept = filter_near_field(survey.for_rsu(rsu_id), cutoff_m)
-        poly, report = fit_poly4(kept)
-        by_rsu[rsu_id] = CalibratedPoly(
+    for rsu, rss, dist in zip(survey.rsus, survey.rss_dbm.T, survey.distance_m.T):
+        try:
+            kept = filter_near_field(rss, dist, cutoff_m)
+            poly, report = fit_poly4(kept)
+        except VanetPosError as e:  # name the RSU; `main` picks the code
+            raise type(e)(f"RSU {rsu.id}: {e}") from e
+        by_rsu[rsu.id] = CalibratedPoly(
             poly=poly,
             rss_min_dbm=kept.rss_min,
             rss_max_dbm=kept.rss_max,

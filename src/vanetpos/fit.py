@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import RssSample
 from .errors import RankDeficient, TooFewSamples
 from .metrics import FitReport, goodness_of_fit
 
@@ -39,12 +38,12 @@ class Polynomial4:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitInput:
-    """Far-field calibration pairs (one RSU), ready for fitting."""
+    """Far-field calibration pairs (one RSU) as two float arrays; `==` is identity."""
 
-    rss_dbm: Tuple[float, ...]
-    distance_m: Tuple[float, ...]
+    rss_dbm: np.ndarray
+    distance_m: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.rss_dbm) != len(self.distance_m):
@@ -60,27 +59,36 @@ class FitInput:
 
     @property
     def rss_min(self) -> float:
-        return min(self.rss_dbm)
+        return float(self.rss_dbm.min())
 
     @property
     def rss_max(self) -> float:
-        return max(self.rss_dbm)
+        return float(self.rss_dbm.max())
 
 
 def filter_near_field(
-    samples: Iterable[RssSample], cutoff_m: float
+    rss_dbm: Iterable,
+    distance_m: Union[Sequence[float], float],
+    cutoff_m: Optional[float] = None,
 ) -> FitInput:
-    """Keep only samples at true distance >= cutoff, preserving order."""
-    kept = [s for s in samples if s.true_distance_m >= cutoff_m]
-    if len(kept) < _MIN_PAIRS:
+    """Keep only the pairs at true distance >= cutoff, preserving order.
+
+    Takes an RSS and a distance column and the cutoff, or survey rows (as
+    `read_survey_csv` gives them) and the cutoff: `(rows, cutoff_m)`.
+    """
+    if cutoff_m is None:
+        rows, cutoff_m = list(rss_dbm), distance_m
+        rss_dbm = [s.rss_dbm for s in rows]
+        distance_m = [s.true_distance_m for s in rows]
+    dist = np.asarray(distance_m, dtype=float)
+    keep = dist >= cutoff_m
+    rss = np.asarray(rss_dbm, dtype=float)[keep]
+    if len(rss) < _MIN_PAIRS:
         raise TooFewSamples(
-            f"only {len(kept)} samples at distance >= {cutoff_m} m "
+            f"only {len(rss)} samples at distance >= {cutoff_m} m "
             f"(need {_MIN_PAIRS})"
         )
-    return FitInput(
-        rss_dbm=tuple(s.rss_dbm for s in kept),
-        distance_m=tuple(s.true_distance_m for s in kept),
-    )
+    return FitInput(rss_dbm=rss, distance_m=dist[keep])
 
 
 def fit_poly4(fit_input: FitInput) -> Tuple[Polynomial4, FitReport]:
@@ -90,13 +98,12 @@ def fit_poly4(fit_input: FitInput) -> Tuple[Polynomial4, FitReport]:
     raw-R coefficients. The goodness-of-fit report is computed from the
     expanded coefficients (the ones reported), with k = 5.
     """
-    distinct = len(set(fit_input.rss_dbm))
+    rss, dist = fit_input.rss_dbm, fit_input.distance_m
+    distinct = len(set(rss.tolist()))
     if distinct < _N_COEFFS:
         raise RankDeficient(
             f"need >= {_N_COEFFS} distinct RSS values, got {distinct}"
         )
-    rss = np.asarray(fit_input.rss_dbm, dtype=float)
-    dist = np.asarray(fit_input.distance_m, dtype=float)
 
     mu = rss.mean()
     sigma = rss.std()

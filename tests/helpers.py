@@ -3,7 +3,9 @@
 import math
 from typing import List, Sequence, Tuple
 
-from vanetpos.channel import Rsu, channels_overlap
+import numpy as np
+
+from vanetpos.channel import Rsu, SurveyDataset, channels_overlap
 from vanetpos.errors import InsufficientAnchors, NoConvergence
 from vanetpos.geometry import LocalPoint
 from vanetpos.positioning import Beacon, SelectionPolicy
@@ -25,6 +27,12 @@ def standard_rsu_row(
         )
         for x, ch in zip(positions_m, channels, strict=True)
     ]
+
+
+def column(survey: SurveyDataset, rsu_id: str) -> Tuple[np.ndarray, np.ndarray]:
+    """One RSU's (rss_dbm, distance_m) columns of a survey grid, by position."""
+    j = survey.rsu_ids().index(rsu_id)
+    return survey.rss_dbm[:, j], survey.distance_m[:, j]
 
 
 def _sorted_weakest_first(beacons: Sequence[Beacon]) -> List[Beacon]:

@@ -33,6 +33,8 @@ from vanetpos.nn import (
     sweep,
 )
 
+from helpers import column
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -76,9 +78,9 @@ class TestCriterion3FilterGeometry:
     def test_sample_counts_at_both_cutoffs(self):
         config = load_scenario(CONFIGS / "exp2.json")
         survey = generate_survey(config.layout, config.channel, seed=config.seed)
-        samples = survey.for_rsu("ap200")
-        n60 = filter_near_field(samples, 60.0).n
-        n100 = filter_near_field(samples, 100.0).n
+        ap200 = column(survey, "ap200")
+        n60 = filter_near_field(*ap200, 60.0).n
+        n100 = filter_near_field(*ap200, 100.0).n
         assert n60 == 29
         assert n100 == 21
         report("criterion-3", f"cutoff 60 -> {n60} pairs, cutoff 100 -> {n100} pairs")
@@ -90,9 +92,9 @@ class TestCriterion4CutoffImprovement:
         wins = 0
         for seed in range(20):
             survey = generate_survey(config.layout, config.channel, seed=seed)
-            samples = survey.for_rsu("ap200")
-            _, r60 = fit_poly4(filter_near_field(samples, 60.0))
-            _, r100 = fit_poly4(filter_near_field(samples, 100.0))
+            ap200 = column(survey, "ap200")
+            _, r60 = fit_poly4(filter_near_field(*ap200, 60.0))
+            _, r100 = fit_poly4(filter_near_field(*ap200, 100.0))
             wins += r100.rmse < r60.rmse
         assert wins >= 16
         report("criterion-4", f"cutoff-100 rmse lower in {wins}/20 seeded runs")
@@ -233,7 +235,7 @@ class TestCriterion8FitRecovery:
                 for r in rss
             ]
         )
-        poly, _ = fit_poly4(FitInput(tuple(rss), tuple(dist)))
+        poly, _ = fit_poly4(FitInput(rss, dist))
         grid = np.linspace(rss.min(), rss.max(), 300)
         fitted = evaluate_poly4(poly, grid)
         exact = (

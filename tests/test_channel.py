@@ -7,6 +7,7 @@ import pytest
 from vanetpos.channel import (
     ChannelModel,
     Rsu,
+    RssSample,
     SurveyLayout,
     channels_overlap,
     count_interferers,
@@ -20,7 +21,7 @@ from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange
 from vanetpos.geometry import LocalPoint
 from vanetpos.nn import dataset_from_columns, dataset_from_survey
 
-from helpers import standard_rsu_row
+from helpers import column, standard_rsu_row
 
 
 def default_layout(channels=(1, 7, 13)):
@@ -28,7 +29,14 @@ def default_layout(channels=(1, 7, 13)):
 
 
 def all_samples(survey):
-    return [s for rsu_id in survey.rsu_ids() for s in survey.for_rsu(rsu_id)]
+    """The survey grid as flat rows, one RSU after another."""
+    return [
+        RssSample(x, rsu_id, r, d)
+        for rsu_id in survey.rsu_ids()
+        for x, r, d in zip(
+            survey.x_m.tolist(), *(c.tolist() for c in column(survey, rsu_id))
+        )
+    ]
 
 
 def assert_same_grid(a, b):
@@ -140,10 +148,6 @@ class TestGenerateSurvey:
         cells = {(s.x_m, s.rsu_id) for s in all_samples(survey)}
         assert len(cells) == 123
 
-    def test_for_rsu_unknown_id_is_empty(self):
-        survey = generate_survey(default_layout(), ChannelModel(), seed=1)
-        assert survey.for_rsu("ap999") == []
-
     def test_cochannel_interferer_count(self):
         rsus = standard_rsu_row([0.0, 100.0, 200.0], [6, 6, 6])
         for rsu in rsus:
@@ -174,8 +178,8 @@ class TestGenerateSurvey:
 
     def test_true_distance_includes_lateral_offset(self):
         survey = generate_survey(default_layout(), ChannelModel(), seed=1)
-        abeam = next(s for s in survey.for_rsu("ap100") if s.x_m == 100.0)
-        assert abeam.true_distance_m == pytest.approx(7.0)
+        _, dist = column(survey, "ap100")
+        assert dist[survey.x_m.tolist().index(100.0)] == pytest.approx(7.0)
 
     def test_samples_respect_floor(self):
         model = ChannelModel()

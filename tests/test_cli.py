@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vanetpos import channel, cli, nn, positioning
+from vanetpos import channel, cli, fit, nn, positioning
 from vanetpos.cli import load_scenario, main
 from vanetpos.errors import VanetPosError
 from vanetpos.positioning import FixSource
@@ -697,7 +697,8 @@ class TestDriveCommand:
         self, tmp_path, capsys
     ):
         # every reading of ap3000 sits at the -95 dBm floor, so its quartic
-        # is rank-deficient; drive exited 2 where fit exits 3
+        # is rank-deficient; drive exited 2 where fit exits 3, and drive's
+        # calibration names the RSU
         cfg = json.loads((CONFIGS / "drive.json").read_text())
         cfg["layout"]["rsus"][2].update(id="ap3000", x_m=3000.0)
         cfg["channel"].update(far_sigma_db=0.0, near_sigma_db=0.0)
@@ -706,14 +707,35 @@ class TestDriveCommand:
         code, _, _ = run(["survey", "--config", path, "--out", survey], capsys)
         assert code == 0
         out = tmp_path / "x.csv"
-        for argv in (
-            ["drive", "--config", path, "--out", out],
-            ["fit", survey, "--rsu", "ap3000", "--out", out],
+        msg = "need >= 5 distinct RSS values, got 1"
+        for argv, line in (
+            (["drive", "--config", path, "--out", out], f"error: RSU ap3000: {msg}"),
+            (["fit", survey, "--rsu", "ap3000", "--out", out], f"error: {msg}"),
         ):
             code, _, err = run(argv, capsys)
             assert code == 3, argv[0]
-            assert err.splitlines() == ["error: need >= 5 distinct RSS values, got 1"]
+            assert err.splitlines() == [line]
             assert not out.exists()
+
+    def test_poly_calibration_error_names_its_rsu(self, tmp_path, capsys):
+        # the road runs 250..350 m, so no reading of ap300 lies beyond the
+        # 60 m cutoff, while ap0 and ap600 calibrate
+        cfg = json.loads((CONFIGS / "drive.json").read_text())
+        cfg["layout"].update(start_m=250.0, end_m=350.0)
+        cfg["layout"]["rsus"] = [
+            {"id": f"ap{x}", "x_m": float(x), "channel": c, "tx_ref_rss_dbm": -35.0}
+            for x, c in ((0, 1), (300, 7), (600, 13))
+        ]
+        cfg["scenario"]["gps_outages"] = [[280.0, 320.0]]
+        cfg["estimator"] = {"kind": "poly"}
+        path, out = tmp_path / "near.json", tmp_path / "t.csv"
+        path.write_text(json.dumps(cfg))
+        code, stdout, err = run(["drive", "--config", path, "--out", out], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.splitlines() == [
+            "error: RSU ap300: only 0 samples at distance >= 60.0 m (need 6)"
+        ]
+        assert not out.exists()
 
     def test_calibration_and_beacons_are_one_survey_each(
         self, tmp_path, capsys, monkeypatch
@@ -742,28 +764,26 @@ class TestDriveCommand:
         calls = []
         real = cli.filter_near_field
 
-        def recording(samples, cutoff_m):
-            samples = list(samples)
-            calls.append((samples, cutoff_m))
-            return real(samples, cutoff_m)
+        def recording(rss_dbm, distance_m, cutoff_m):
+            calls.append((rss_dbm, distance_m, cutoff_m))
+            return real(rss_dbm, distance_m, cutoff_m)
 
         monkeypatch.setattr(cli, "filter_near_field", recording)
-        cli.calibrate_polynomial(config.layout, config.channel, 60.0, config.seed)
+        est = cli.calibrate_polynomial(
+            config.layout, config.channel, 60.0, config.seed
+        )
         survey = channel.generate_survey(config.layout, config.channel, config.seed)
         ids = sorted(r.id for r in config.layout.rsus)
-        assert [samples[0].rsu_id for samples, _ in calls] == ids
+        assert survey.rsu_ids() == list(est.by_rsu) == ids
         xs = survey.x_m.tolist()
         assert xs == sorted(set(xs))
-        for j, (samples, cutoff_m) in enumerate(calls):
+        assert len(calls) == len(ids)
+        for j, (rss_dbm, distance_m, cutoff_m) in enumerate(calls):
             assert cutoff_m == 60.0
-            assert [s.rsu_id for s in samples] == [ids[j]] * len(xs)
-            for field, column in (
-                ("x_m", xs),
-                ("rss_dbm", survey.rss_dbm[:, j].tolist()),
-                ("true_distance_m", survey.distance_m[:, j].tolist()),
-            ):
-                got = [getattr(s, field) for s in samples]
-                assert [v.hex() for v in got] == [v.hex() for v in column], field
+            for name, got in (("rss_dbm", rss_dbm), ("distance_m", distance_m)):
+                column = getattr(survey, name)[:, j].tolist()
+                got = np.asarray(got).tolist()
+                assert [v.hex() for v in got] == [v.hex() for v in column], name
 
     def test_summary_matches_independent_recomputation(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -1011,3 +1031,31 @@ def test_benchmark_tracer_names_resolve():
         if not hasattr(importlib.import_module(f"vanetpos.{module}"), attr)
     ]
     assert names and missing == []
+
+
+def test_benchmark_calibration_hook_counts_the_grid(tmp_path):
+    # the tracer wraps cli.filter_near_field and reads its first argument as
+    # the RSS column: every grid cell is offered once, the far-field ones kept
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    path = tmp_path / "corridor.json"
+    path.write_text(json.dumps(corridor_config(11, channel_seed=0)))
+    config = load_scenario(str(path))
+    args = (config.layout, config.channel, 60.0, config.seed)
+    untraced = cli.calibrate_polynomial(*args)
+    tracer = spans.Tracer()
+    spans.install(
+        tracer,
+        {"channel": channel, "cli": cli, "fit": fit, "nn": nn, "positioning": positioning},
+    )
+    try:
+        traced = cli.calibrate_polynomial(*args)
+    finally:
+        tracer.uninstall()
+    survey = channel.generate_survey(config.layout, config.channel, config.seed)
+    positions = len(config.layout.positions())
+    assert tracer.counts["filter_near_field.offered"] == positions * 11
+    kept = int(np.count_nonzero(survey.distance_m >= 60.0))
+    assert 0 < tracer.counts["filter_near_field.kept"] == kept < positions * 11
+    assert traced.by_rsu == untraced.by_rsu

@@ -7,6 +7,7 @@ import pytest
 
 from vanetpos.channel import (
     ChannelModel,
+    RssSample,
     SurveyLayout,
     generate_survey,
 )
@@ -21,7 +22,7 @@ from vanetpos.fit import (
     fit_poly4,
 )
 
-from helpers import standard_rsu_row
+from helpers import column, standard_rsu_row
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -43,30 +44,45 @@ def default_survey(seed=1, **model_kwargs):
 class TestFilterNearField:
     def test_cutoff_60_keeps_29_pairs(self):
         survey = default_survey()
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=60.0)
         assert kept.n == 29
         # with the 7 m lateral offset, x <= 140 m stays beyond 60 m range
         assert max(kept.distance_m) == pytest.approx(math.sqrt(200.0**2 + 49.0))
 
     def test_cutoff_100_keeps_21_pairs(self):
         survey = default_survey()
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=100.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=100.0)
         assert kept.n == 21
 
     def test_cutoff_0_keeps_all(self):
         survey = default_survey()
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=0.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=0.0)
         assert kept.n == 41
 
     def test_order_preserved(self):
         survey = default_survey()
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=60.0)
         assert list(kept.distance_m) == sorted(kept.distance_m, reverse=True)
 
     def test_too_few_after_filter(self):
         survey = default_survey()
         with pytest.raises(TooFewSamples):
-            filter_near_field(survey.for_rsu("ap200"), cutoff_m=190.0)
+            filter_near_field(*column(survey, "ap200"), cutoff_m=190.0)
+
+    def test_survey_rows_keep_what_the_columns_keep(self):
+        # the `fit` command passes its CSV rows and the cutoff
+        survey = default_survey()
+        rss, dist = column(survey, "ap200")
+        rows = iter(
+            [RssSample(x, "ap200", r, d) for x, r, d in zip(survey.x_m, rss, dist)]
+        )
+        by_rows = filter_near_field(rows, 60.0)
+        by_columns = filter_near_field(rss, dist, 60.0)
+        for name in ("rss_dbm", "distance_m"):
+            got, want = getattr(by_rows, name), getattr(by_columns, name)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        with pytest.raises(TooFewSamples, match=r"distance >= 190.0 m"):
+            filter_near_field(iter([]), 190.0)
 
 
 class TestFitPoly4:
@@ -74,7 +90,7 @@ class TestFitPoly4:
         truth = Polynomial4(2e-5, 0.004, 0.21, 7.5, 310.0)
         rss = np.linspace(-90.0, -60.0, 10)
         dist = np.array([naive_power_sum(truth, r) for r in rss])
-        poly, report = fit_poly4(FitInput(tuple(rss), tuple(dist)))
+        poly, report = fit_poly4(FitInput(rss, dist))
         grid = np.linspace(rss.min(), rss.max(), 200)
         fitted = evaluate_poly4(poly, grid)
         expected = np.array([naive_power_sum(truth, r) for r in grid])
@@ -83,11 +99,11 @@ class TestFitPoly4:
 
     def test_four_pairs_rejected(self):
         with pytest.raises(TooFewSamples):
-            FitInput((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0))
+            FitInput(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, 3.0, 4.0]))
 
     def test_repeated_rss_rejected(self):
-        rss = (-80.0, -80.0, -80.0, -80.0, -80.0, -70.0)
-        dist = (100.0, 101.0, 99.0, 100.5, 100.2, 50.0)
+        rss = np.array([-80.0, -80.0, -80.0, -80.0, -80.0, -70.0])
+        dist = np.array([100.0, 101.0, 99.0, 100.5, 100.2, 50.0])
         with pytest.raises(RankDeficient):
             fit_poly4(FitInput(rss, dist))
 
@@ -95,7 +111,7 @@ class TestFitPoly4:
         # floor low enough that the far field stays unclamped and the fit is
         # well conditioned
         survey = default_survey(seed=3, rss_floor_dbm=-130.0)
-        kept = filter_near_field(survey.for_rsu("ap0"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap0"), cutoff_m=60.0)
         poly, report = fit_poly4(kept)
 
         predicted = [naive_power_sum(poly, r) for r in kept.rss_dbm]
@@ -112,7 +128,7 @@ class TestFitPoly4:
 
     def test_residual_orthogonality(self):
         survey = default_survey(seed=5)
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=60.0)
         poly, _ = fit_poly4(kept)
         rss = np.array(kept.rss_dbm)
         dist = np.array(kept.distance_m)
@@ -124,9 +140,9 @@ class TestFitPoly4:
 
     def test_constant_shift_moves_only_intercept(self):
         survey = default_survey(seed=7)
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=60.0)
         poly_a, _ = fit_poly4(kept)
-        shifted = FitInput(kept.rss_dbm, tuple(d + 37.5 for d in kept.distance_m))
+        shifted = FitInput(kept.rss_dbm, kept.distance_m + 37.5)
         poly_b, _ = fit_poly4(shifted)
         for name in ("p1", "p2", "p3", "p4"):
             a, b = getattr(poly_a, name), getattr(poly_b, name)
@@ -140,7 +156,7 @@ class TestFitPoly4:
             rsus=standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
         )
         survey = generate_survey(layout, model, seed=1)
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=60.0)
         _, report = fit_poly4(kept)
         assert report.r_square >= 0.999
 
@@ -192,7 +208,7 @@ class TestRawCoefficients:
         fits = 0
         for name, survey in calibration_surveys():
             for rsu_id in survey.rsu_ids():
-                kept = filter_near_field(survey.for_rsu(rsu_id), 60.0)
+                kept = filter_near_field(*column(survey, rsu_id), 60.0)
                 poly, _ = fit_poly4(kept)
                 rss = np.asarray(kept.rss_dbm)
                 mu, sigma = rss.mean(), rss.std()

@@ -32,7 +32,7 @@ from vanetpos.positioning import (
     validate_deployment,
 )
 
-from helpers import reference_select_rsus, standard_rsu_row
+from helpers import column, reference_select_rsus, standard_rsu_row
 
 ORIGIN = GlobalPosition(26.35, 43.97, 600.0)
 
@@ -236,7 +236,7 @@ class TestRssToRange:
         )
         layout = SurveyLayout(rsus=standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13]))
         survey = generate_survey(layout, model, seed=13)
-        kept = filter_near_field(survey.for_rsu("ap200"), cutoff_m=60.0)
+        kept = filter_near_field(*column(survey, "ap200"), cutoff_m=60.0)
         poly, report = fit_poly4(kept)
         return CalibratedPoly(
             poly=poly,
