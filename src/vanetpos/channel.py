@@ -78,6 +78,10 @@ class ChannelModel:
             raise ValueError("path_loss_exponent must be > 0")
         if min(self.far_sigma_db, self.near_sigma_db, self.interference_sigma_db) < 0:
             raise ValueError("noise sigmas must be >= 0")
+        for name in ("near_sigma_db", "far_sigma_db", "interference_sigma_db"):
+            sigma = getattr(self, name)
+            if not math.isfinite(sigma * sigma):  # _sigmas squares it
+                raise ValueError(f"{name} must have a finite square, got {sigma}")
         if self.near_field_m < 0:
             raise ValueError("near_field_m must be >= 0")
 
@@ -100,11 +104,25 @@ class SurveyLayout:
             raise ValueError("step_m must be > 0")
         if self.end_m < self.start_m:
             raise ValueError("end_m must be >= start_m")
+        if not math.isfinite((self.end_m - self.start_m) / self.step_m):
+            raise ValueError("(end_m - start_m) / step_m overflows the float range")
+        # an RSU's distance from the test line peaks at one of its two ends
+        for x in (self.start_m, self.start_m + self.step_m * (self._count() - 1)):
+            for rsu in self.rsus:
+                p = rsu.position
+                d = (x - p.x_m, self.lane_y_m - p.y_m, self.antenna_z_m - p.z_m)
+                if not math.isfinite(sum(c * c for c in d)):
+                    raise ValueError(
+                        f"RSU {rsu.id}: squared distance to the test line at x={x} "
+                        "overflows"
+                    )
+
+    def _count(self) -> int:
+        return int(math.floor((self.end_m - self.start_m) / self.step_m + 1e-9)) + 1
 
     def positions(self) -> np.ndarray:
         """Longitudinal sample positions, inclusive of both ends."""
-        n = int(math.floor((self.end_m - self.start_m) / self.step_m + 1e-9)) + 1
-        return self.start_m + self.step_m * np.arange(n)
+        return self.start_m + self.step_m * np.arange(self._count())
 
     def vehicle_point(self, x_m: float) -> LocalPoint:
         return LocalPoint(x_m, self.lane_y_m, self.antenna_z_m)
@@ -213,10 +231,14 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     function of (layout, model, seed). A position closer than the
     reference distance to an RSU raises BelowReferenceDistance for the
     first such position, with its nearest distance, before any noise is
-    drawn.
+    drawn; an RSU whose co-channel noise variance overflows, before that.
     """
     rsus = tuple(sorted(layout.rsus, key=lambda r: r.id))
     near, far = zip(*(_sigmas(model, count_interferers(r, rsus)) for r in rsus))
+    for rsu, *sigmas in zip(rsus, near, far):
+        # ChannelModel bounds each sigma's square, not their sum with interferers'
+        if not math.isfinite(max(sigmas)):
+            raise VanetPosError(f"RSU {rsu.id}: co-channel noise variance overflows")
     x = layout.positions()
     points = np.column_stack(
         (x, np.full_like(x, layout.lane_y_m), np.full_like(x, layout.antenna_z_m))

@@ -300,10 +300,7 @@ def calibrate_nn(
     return NnPositionEstimator(
         model=trained,
         rsu_order=dataset.feature_names,
-        segment_start_m=layout.start_m,
-        segment_end_m=layout.end_m,
-        lane_y_m=layout.lane_y_m,
-        antenna_z_m=layout.antenna_z_m,
+        layout=layout,
         rmse_m=rmse,
         missing_rss_dbm=model.rss_floor_dbm,
     )

@@ -172,10 +172,6 @@ def _normalize(v, lo, hi):
     return 2.0 * (v - lo) / (hi - lo) - 1.0
 
 
-def _denormalize_output(model: MlpModel, yn):
-    return (yn + 1.0) / 2.0 * (model.out_max - model.out_min) + model.out_min
-
-
 def _stack_params(models: Sequence[MlpModel]) -> np.ndarray:
     """The (S, K) parameter buffer of `models`, a row each (module docstring)."""
     width = max(m.n_hidden for m in models) * (models[0].n_inputs + 2) + 1
@@ -250,31 +246,17 @@ def _stack_gradients(params, xn, yn, h1s, pred, out) -> None:
     np.add.reduce(d_pred, axis=1, keepdims=True, out=g_b2)
 
 
-def _predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    xn = _normalize(x, model.in_min, model.in_max)
-    params = _param_views(_stack_params([model]), [(model.n_hidden, 1)])
-    pred = _stack_forward(params, [xn[None]])[1][0]
-    return _denormalize_output(model, pred)
-
-
-def forward(model: MlpModel, inputs: Sequence[float]) -> float:
-    """Estimate position (meters) from one RSS vector (dBm per RSU)."""
-    x = np.asarray(inputs, dtype=float)
-    if x.shape != (model.n_inputs,):
-        raise DimensionMismatch(
-            f"expected {model.n_inputs} inputs, got shape {x.shape}"
-        )
-    return float(_predict(model, x[None, :])[0])
-
-
 def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized forward over rows of `inputs`."""
+    """Estimate position (meters) from each row of `inputs` (dBm per RSU)."""
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
         raise DimensionMismatch(
             f"expected (n, {model.n_inputs}) inputs, got shape {x.shape}"
         )
-    return _predict(model, x)
+    xn = _normalize(x, model.in_min, model.in_max)
+    params = _param_views(_stack_params([model]), [(model.n_hidden, 1)])
+    yn = _stack_forward(params, [xn[None]])[1][0]
+    return (yn + 1.0) / 2.0 * (model.out_max - model.out_min) + model.out_min
 
 
 def batch_loss(model: MlpModel, inputs: np.ndarray, targets: np.ndarray) -> float:

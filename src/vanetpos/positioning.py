@@ -18,7 +18,8 @@ from enum import Enum
 from typing import Callable, Collection, Container, Dict, List, NamedTuple
 from typing import Optional, Sequence, Tuple, Union
 
-from .channel import WIFI_CHANNEL_MAX, WIFI_CHANNEL_MIN, Rsu, channels_overlap
+from .channel import WIFI_CHANNEL_MAX, WIFI_CHANNEL_MIN, Rsu, SurveyLayout
+from .channel import channels_overlap
 from .errors import InsufficientAnchors, NoCoverage
 from .fit import Polynomial4
 from .geometry import (
@@ -30,7 +31,7 @@ from .geometry import (
     to_global,
     to_local,
 )
-from .nn import MlpModel, forward
+from .nn import MlpModel, forward_batch
 
 
 class FixSource(Enum):
@@ -86,14 +87,11 @@ class PolynomialRangeEstimator:
 
 @dataclass(frozen=True)
 class NnPositionEstimator:
-    """Direct street-position network, valid on its calibrated segment."""
+    """Direct street-position network, valid on its calibration layout's track."""
 
     model: MlpModel
     rsu_order: Tuple[str, ...]
-    segment_start_m: float
-    segment_end_m: float
-    lane_y_m: float
-    antenna_z_m: float
+    layout: SurveyLayout
     rmse_m: float
     missing_rss_dbm: float = -95.0
 
@@ -277,15 +275,14 @@ def _locate_nn(
         by_id[r].rss_dbm if r in by_id else estimator.missing_rss_dbm
         for r in estimator.rsu_order
     ]
-    x = forward(estimator.model, vector)
-    clamped = False
-    if x < estimator.segment_start_m:
-        x, clamped = estimator.segment_start_m, True
-    elif x > estimator.segment_end_m:
-        x, clamped = estimator.segment_end_m, True
-    local = LocalPoint(x, estimator.lane_y_m, estimator.antenna_z_m)
+    x = float(forward_batch(estimator.model, [vector])[0])
+    layout, clamped = estimator.layout, False
+    if x < layout.start_m:
+        x, clamped = layout.start_m, True
+    elif x > layout.end_m:
+        x, clamped = layout.end_m, True
     quality = estimator.rmse_m * (2.0 if clamped else 1.0)
-    return local, tuple(heard), quality
+    return layout.vehicle_point(x), tuple(heard), quality
 
 
 def locate(

@@ -17,7 +17,7 @@ from vanetpos.channel import (
     sample_rss,
     write_survey_csv,
 )
-from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange
+from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange, VanetPosError
 from vanetpos.geometry import LocalPoint
 from vanetpos.nn import dataset_from_columns, dataset_from_survey
 
@@ -346,3 +346,52 @@ class TestValidation:
     def test_model_sigma_nonnegative(self):
         with pytest.raises(ValueError):
             ChannelModel(far_sigma_db=-1.0)
+
+    @pytest.mark.parametrize(
+        "name, sigma",
+        [("far_sigma_db", 1e200), ("near_sigma_db", 1e160),
+         ("interference_sigma_db", 1e200)],
+    )
+    def test_sigma_with_overflowing_square_rejected(self, name, sigma):
+        # generate_survey raised OverflowError from `sigma**2`
+        with pytest.raises(ValueError, match=f"^{name} must have a finite square"):
+            ChannelModel(**{name: sigma})
+
+    def test_overflowing_cochannel_variance_names_the_rsu(self):
+        # each square is finite, the variance of two interferers is not: the
+        # survey drew inf RSS
+        model = ChannelModel(interference_sigma_db=1e154)
+        with pytest.raises(VanetPosError) as exc:
+            generate_survey(default_layout((1, 1, 1)), model, seed=0)
+        assert str(exc.value) == "RSU ap0: co-channel noise variance overflows"
+
+    def test_largest_finite_noise_variance_draws_finite_rss(self):
+        model = ChannelModel(interference_sigma_db=9e153)
+        survey = generate_survey(default_layout((1, 1, 1)), model, seed=0)
+        assert np.all(np.isfinite(survey.rss_dbm))
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ({"lane_y_m": 1e200}, "RSU ap0: squared distance to the test line at "
+             "x=0.0 overflows"),
+            # the track's far end: 0, 1e154, 2e154
+            ({"end_m": 2e154, "step_m": 1e154}, "RSU ap0: squared distance to "
+             "the test line at x=2e+154 overflows"),
+            ({"start_m": -1e308, "end_m": 1e308, "step_m": 1e307},
+             "(end_m - start_m) / step_m overflows"),
+        ],
+        ids=["lane", "track-end", "span"],
+    )
+    def test_overflowing_geometry_rejected_before_any_grid(self, layout, message):
+        # wrote inf distances after a numpy overflow warning, or raised
+        # OverflowError from positions()
+        rsus = standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
+        with pytest.raises(ValueError) as exc:
+            SurveyLayout(rsus=rsus, **layout)
+        assert str(exc.value).startswith(message)
+
+    def test_far_but_finite_geometry_surveys_finite_distances(self):
+        layout = replace(default_layout(), lane_y_m=1e150)
+        survey = generate_survey(layout, ChannelModel(), seed=0)
+        assert np.all(np.isfinite(survey.distance_m))

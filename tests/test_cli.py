@@ -353,6 +353,54 @@ def test_missing_config_exit_2_one_error_line_naming_it(command, tmp_path, capsy
     assert not (tmp_path / "x.csv").exists()
 
 
+def _two_interferers(cfg):
+    cfg["channel"]["interference_sigma_db"] = 1e154
+    for rsu in cfg["layout"]["rsus"]:
+        rsu["channel"] = 1
+
+
+@pytest.mark.parametrize("estimator", ["survey", "poly", "nn"])
+@pytest.mark.parametrize(
+    "edit, prefix, names",
+    [
+        (lambda c: c["channel"].update(far_sigma_db=1e200),
+         "config error: ", "far_sigma_db must have a finite square"),
+        (lambda c: c["channel"].update(near_sigma_db=1e160),
+         "config error: ", "near_sigma_db must have a finite square"),
+        (lambda c: c["channel"].update(interference_sigma_db=1e200),
+         "config error: ", "interference_sigma_db must have a finite square"),
+        (_two_interferers, "error: RSU ap0: ", "co-channel noise variance overflows"),
+        (lambda c: c["layout"].update(lane_y_m=1e200),
+         "config error: ", "RSU ap0: squared distance to the test line"),
+        (lambda c: c["layout"]["rsus"][1].update(y_m=1e200),
+         "config error: ", "RSU ap150: squared distance to the test line"),
+        (lambda c: c["layout"].update(start_m=-1e308, end_m=1e308, step_m=1e307),
+         "config error: ", "(end_m - start_m) / step_m overflows"),
+    ],
+    ids=["far-sigma", "near-sigma", "interference-sigma", "two-interferers",
+         "lane", "rsu-offset", "span"],
+)
+def test_overflowing_config_exit_2_one_line_no_file(
+    edit, prefix, names, estimator, tmp_path, capsys
+):
+    # before these checks, each exited 1 with an OverflowError traceback, exited 0
+    # after writing inf RSS or distances (with a numpy overflow warning), or
+    # failed later in the fit or the network with another error
+    cfg = json.loads((CONFIGS / "drive.json").read_text())
+    edit(cfg)
+    if estimator == "nn":
+        cfg["estimator"] = {"kind": "nn"}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    command = "survey" if estimator == "survey" else "drive"
+    code, stdout, err = run([command, "--config", path, "--out", out], capsys)
+    assert code == 2 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix) and names in lines[0]
+    assert not out.exists()
+
+
 class TestFitCommand:
     def test_fit_writes_full_report(self, exp2_csv, tmp_path, capsys):
         report_path = tmp_path / "fit.json"

@@ -17,7 +17,6 @@ from vanetpos.nn import (
     TrainConfig,
     batch_loss,
     dataset_from_survey,
-    forward,
     forward_batch,
     gradients,
     init_mlp,
@@ -211,24 +210,24 @@ class TestForward:
         m.w1 = np.zeros_like(m.w1)
         m.w2 = np.zeros_like(m.w2)
         m.out_min, m.out_max = 0.0, 200.0
-        assert forward(m, [-60.0, -70.0]) == pytest.approx(100.0)
+        assert forward_batch(m, [[-60.0, -70.0]])[0] == pytest.approx(100.0)
 
     def test_pure(self):
         m = init_mlp(3, 5, seed=2)
-        x = [-55.0, -60.0, -80.0]
-        assert forward(m, x) == forward(m, x)
+        x = [[-55.0, -60.0, -80.0]]
+        assert forward_batch(m, x)[0] == forward_batch(m, x)[0]
 
     def test_weight_bump_changes_output_by_activation(self):
         m = init_mlp(2, 4, seed=3)
         x = np.array([-60.0, -70.0])
         xn = 2.0 * (x - m.in_min) / (m.in_max - m.in_min) - 1.0
         activation = np.tanh(m.w1 @ xn + m.b1)
-        base = forward(m, x)
+        base = forward_batch(m, x[None])[0]
         delta = 0.37
         m2 = copy.deepcopy(m)
         m2.w2 = m.w2.copy()
         m2.w2[1] += delta
-        bumped = forward(m2, x)
+        bumped = forward_batch(m2, x[None])[0]
         half_range = (m.out_max - m.out_min) / 2.0
         assert bumped - base == pytest.approx(
             delta * activation[1] * half_range, rel=1e-9
@@ -237,7 +236,31 @@ class TestForward:
     def test_dimension_mismatch(self):
         m = init_mlp(3, 4, seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(m, [-60.0, -70.0])
+            forward_batch(m, [[-60.0, -70.0]])
+
+    @staticmethod
+    def spread_model():
+        m = init_mlp(3, 6, seed=4)
+        m.in_min, m.in_max = np.full(3, -95.0), np.full(3, -40.0)
+        m.out_min, m.out_max = 0.0, 300.0
+        x = np.random.default_rng(5).uniform(-95.0, -40.0, size=(61, 3))
+        return m, x
+
+    def test_one_row_batch_agrees_with_that_row_of_a_larger_batch(self):
+        # a fix reads the network one row at a time, the sweep a whole
+        # survey at once. Not bit for bit: BLAS takes a one-row product
+        # down another kernel (with numpy 2.4.6's OpenBLAS, 5 of these 61
+        # rows differ by one ulp)
+        m, x = self.spread_model()
+        one_rows = np.array([forward_batch(m, row[None])[0] for row in x])
+        np.testing.assert_array_max_ulp(one_rows, forward_batch(m, x), maxulp=2)
+
+    def test_one_row_batch_keeps_the_bits_of_a_single_vector_forward(self):
+        # the bits the former one-vector `forward` gave these rows, where the
+        # one-row product and the 61-row one round apart
+        m, x = self.spread_model()
+        for i, bits in ((22, "0x1.09f9f1565d2a2p+7"), (37, "0x1.5037b9ee2fcc3p+7")):
+            assert forward_batch(m, x[i][None])[0].hex() == bits
 
 
 class TestGradients:

@@ -555,10 +555,7 @@ class TestLocateNn:
         est = NnPositionEstimator(
             model=trained,
             rsu_order=ds.feature_names,
-            segment_start_m=0.0,
-            segment_end_m=200.0,
-            lane_y_m=7.0,
-            antenna_z_m=1.10,
+            layout=layout,
             rmse_m=5.0,
             missing_rss_dbm=-130.0,
         )
@@ -595,9 +592,24 @@ class TestLocateNn:
             None, beacons, est, SelectionPolicy(), ORIGIN
         )
         x = fix.local_position.x_m
-        assert est.segment_start_m <= x <= est.segment_end_m
-        if x in (est.segment_start_m, est.segment_end_m):
+        assert est.layout.start_m <= x <= est.layout.end_m
+        if x in (est.layout.start_m, est.layout.end_m):
             assert fix.quality_m == 2 * est.rmse_m
+
+    def test_fix_lies_on_the_calibrated_layouts_test_line(self):
+        from vanetpos.nn import forward_batch
+
+        est, survey, layout = self.make_estimator()
+        raised = replace(layout, lane_y_m=12.5, antenna_z_m=1.6)
+        est = replace(est, layout=raised)
+        cell = dict(zip(survey.rsu_ids(), survey.rss_dbm[survey.x_m == 100.0][0]))
+        beacons = [Beacon(rsu=r, rss_dbm=cell[r.id]) for r in layout.rsus]
+        fix = locate(None, beacons, est, SelectionPolicy(), ORIGIN)
+        x = float(forward_batch(est.model, [[cell[r] for r in est.rsu_order]])[0])
+        assert 0.0 < x < 200.0  # not clamped
+        assert fix.local_position == raised.vehicle_point(x)
+        assert fix.local_position == LocalPoint(x, 12.5, 1.6)
+        assert fix.global_position == to_global(raised.vehicle_point(x), ORIGIN)
 
 
 @pytest.mark.parametrize("weaker_first", [True, False])
