@@ -17,6 +17,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from .domain import COORD_M, LENGTH_M, LEVEL_DBM, SIGMA_DB, check_ranges, ranged
 from .errors import BelowReferenceDistance, ChannelOutOfRange, VanetPosError
 from .geometry import LocalPoint
 
@@ -25,6 +26,7 @@ WIFI_CHANNEL_MAX = 13
 
 # channels this far apart (or more) do not interfere
 _OVERLAP_SEPARATION = 5
+MAX_CELLS = 10**6  # positions x RSUs of one survey grid
 
 
 @dataclass(frozen=True)
@@ -62,28 +64,17 @@ class ChannelModel:
     `interference_sigma_db**2` of variance.
     """
 
-    ref_distance_m: float = 1.0
-    ref_rss_dbm: float = -40.0
-    path_loss_exponent: float = 2.7
-    far_sigma_db: float = 2.0
-    near_sigma_db: float = 8.0
-    near_field_m: float = 60.0
-    interference_sigma_db: float = 6.0
-    rss_floor_dbm: float = -95.0
+    ref_distance_m: float = ranged(1.0, 1e-3, 1e3)
+    ref_rss_dbm: float = ranged(-40.0, *LEVEL_DBM)
+    path_loss_exponent: float = ranged(2.7, 0.1, 10.0)
+    far_sigma_db: float = ranged(2.0, *SIGMA_DB)
+    near_sigma_db: float = ranged(8.0, *SIGMA_DB)
+    near_field_m: float = ranged(60.0, *LENGTH_M)
+    interference_sigma_db: float = ranged(6.0, *SIGMA_DB)
+    rss_floor_dbm: float = ranged(-95.0, *LEVEL_DBM)
 
     def __post_init__(self) -> None:
-        if self.ref_distance_m <= 0:
-            raise ValueError("ref_distance_m must be > 0")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be > 0")
-        if min(self.far_sigma_db, self.near_sigma_db, self.interference_sigma_db) < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        for name in ("near_sigma_db", "far_sigma_db", "interference_sigma_db"):
-            sigma = getattr(self, name)
-            if not math.isfinite(sigma * sigma):  # _sigmas squares it
-                raise ValueError(f"{name} must have a finite square, got {sigma}")
-        if self.near_field_m < 0:
-            raise ValueError("near_field_m must be >= 0")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -91,31 +82,19 @@ class SurveyLayout:
     """Drive-by survey geometry: RSU row plus the parallel test line."""
 
     rsus: List[Rsu]
-    start_m: float = 0.0
-    end_m: float = 200.0
-    step_m: float = 5.0
-    lane_y_m: float = 7.0
-    antenna_z_m: float = 1.10
+    start_m: float = ranged(0.0, *COORD_M)
+    end_m: float = ranged(200.0, *COORD_M)
+    step_m: float = ranged(5.0, 1e-3, 1e6)
+    lane_y_m: float = ranged(7.0, *COORD_M)
+    antenna_z_m: float = ranged(1.10, *COORD_M)
 
     def __post_init__(self) -> None:
-        if not self.rsus:
-            raise ValueError("layout needs at least one RSU")
-        if self.step_m <= 0:
-            raise ValueError("step_m must be > 0")
+        check_ranges(self)
         if self.end_m < self.start_m:
             raise ValueError("end_m must be >= start_m")
-        if not math.isfinite((self.end_m - self.start_m) / self.step_m):
-            raise ValueError("(end_m - start_m) / step_m overflows the float range")
-        # an RSU's distance from the test line peaks at one of its two ends
-        for x in (self.start_m, self.start_m + self.step_m * (self._count() - 1)):
-            for rsu in self.rsus:
-                p = rsu.position
-                d = (x - p.x_m, self.lane_y_m - p.y_m, self.antenna_z_m - p.z_m)
-                if not math.isfinite(sum(c * c for c in d)):
-                    raise ValueError(
-                        f"RSU {rsu.id}: squared distance to the test line at x={x} "
-                        "overflows"
-                    )
+        n, m = self._count(), len(self.rsus)  # before positions() allocates
+        if not 1 <= n * m <= MAX_CELLS:
+            raise ValueError(f"{n} positions x {m} RSUs must be 1 to {MAX_CELLS} cells")
 
     def _count(self) -> int:
         return int(math.floor((self.end_m - self.start_m) / self.step_m + 1e-9)) + 1
@@ -231,14 +210,10 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     function of (layout, model, seed). A position closer than the
     reference distance to an RSU raises BelowReferenceDistance for the
     first such position, with its nearest distance, before any noise is
-    drawn; an RSU whose co-channel noise variance overflows, before that.
+    drawn.
     """
     rsus = tuple(sorted(layout.rsus, key=lambda r: r.id))
     near, far = zip(*(_sigmas(model, count_interferers(r, rsus)) for r in rsus))
-    for rsu, *sigmas in zip(rsus, near, far):
-        # ChannelModel bounds each sigma's square, not their sum with interferers'
-        if not math.isfinite(max(sigmas)):
-            raise VanetPosError(f"RSU {rsu.id}: co-channel noise variance overflows")
     x = layout.positions()
     points = np.column_stack(
         (x, np.full_like(x, layout.lane_y_m), np.full_like(x, layout.antenna_z_m))

@@ -26,11 +26,13 @@ import numpy as np
 
 from . import channel as ch
 from . import nn
+from .domain import COORD_M, LENGTH_M, LEVEL_DBM, SEED, check_ranges, ranged
 from .errors import (
     ConfigError,
     InsufficientAnchors,
     NoConvergence,
     NoCoverage,
+    OutOfRange,
     RankDeficient,
     TooFewSamples,
     VanetPosError,
@@ -60,14 +62,15 @@ TRACE_CSV_HEADER = (
 _EXIT_3 = (
     TooFewSamples, RankDeficient, InsufficientAnchors, NoCoverage, NoConvergence
 )
+HIDDEN = (1, 100)  # neurons: `estimator.hidden` and each size of `sweep --hidden`
 
 
 @dataclass(frozen=True)
 class EstimatorSpec:
     kind: str  # "poly" | "nn"
-    cutoff_m: float = 60.0
-    hidden: int = 8
-    train_seed: int = 0
+    cutoff_m: float = ranged(60.0, *LENGTH_M)
+    hidden: int = ranged(8, *HIDDEN)
+    train_seed: int = ranged(0, *SEED)
     max_epochs: int = 1000
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -78,12 +81,7 @@ class EstimatorSpec:
             raise ValueError(
                 f"estimator.kind must be 'poly' or 'nn', got {self.kind!r}"
             )
-        if self.cutoff_m < 0:
-            raise ValueError("estimator.cutoff_m must be >= 0")
-        if self.hidden < 1:
-            raise ValueError("estimator.hidden must be >= 1")
-        if self.train_seed < 0:
-            raise ValueError("estimator.train_seed must be >= 0")
+        check_ranges(self)
         self.train_config()  # checks the training fields
 
     def train_config(self) -> nn.TrainConfig:
@@ -99,15 +97,14 @@ class EstimatorSpec:
 class ScenarioConfig:
     layout: ch.SurveyLayout
     channel: ch.ChannelModel
-    seed: int = 0
+    seed: int = ranged(0, *SEED)
     gps_outages: Tuple[Tuple[float, float], ...] = ()
     origin: GlobalPosition = GlobalPosition(0.0, 0.0, 0.0)
     estimator: Optional[EstimatorSpec] = None
     policy: SelectionPolicy = SelectionPolicy()
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("scenario.seed must be >= 0")
+        check_ranges(self)
         _check_latitudes(self.origin)  # the local frame's own rule
         for lo, hi in self.gps_outages:
             if lo > hi or lo < self.layout.start_m or hi > self.layout.end_m:
@@ -122,11 +119,14 @@ class _RsuEntry:
     """How the config writes an RSU: its position as flat keys."""
 
     id: str
-    x_m: float
+    x_m: float = ranged(MISSING, *COORD_M)
     channel: int
-    y_m: float = 0.0
-    z_m: float = 1.10
-    tx_ref_rss_dbm: float = -40.0
+    y_m: float = ranged(0.0, *COORD_M)
+    z_m: float = ranged(1.10, *COORD_M)
+    tx_ref_rss_dbm: float = ranged(-40.0, *LEVEL_DBM)
+
+    def __post_init__(self) -> None:
+        check_ranges(self)
 
     def rsu(self) -> ch.Rsu:
         position = LocalPoint(self.x_m, self.y_m, self.z_m)
@@ -159,7 +159,7 @@ def _build(cls, section, context: str, base=None, **given):
     caller built from elsewhere) does not fill; fields without a default
     are required unless `base`, an instance of `cls`, supplies the values
     of absent keys. Values are checked against the field annotations by
-    `_value`; value ranges are left to the dataclass's own validation.
+    `_value`, value ranges by the dataclass, which `where` names.
     """
     own = [f for f in fields(cls) if f.name not in given]
     required = [f.name for f in own if f.default is MISSING and base is None]
@@ -172,7 +172,10 @@ def _build(cls, section, context: str, base=None, **given):
             values[f.name] = _value(hints[f.name], section[f.name], where, f.default)
         elif base is not None:
             values[f.name] = getattr(base, f.name)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except OutOfRange as e:
+        raise ConfigError(f"{context}.{e}") from e
 
 
 def _value(kind, value, where: str, default=MISSING):
@@ -349,8 +352,8 @@ def _parse_hidden_range(text: str) -> Tuple[int, ...]:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError as e:
         raise ConfigError(f"--hidden must look like LO..HI, got {text!r}") from e
-    if lo < 1 or hi < lo:
-        raise ConfigError(f"--hidden range {text!r} is empty or invalid")
+    if not HIDDEN[0] <= lo <= hi <= HIDDEN[1]:
+        raise ConfigError(f"--hidden range {text!r} must lie in {list(HIDDEN)}")
     return tuple(range(lo, hi + 1))
 
 
@@ -477,20 +480,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type of the seed options: numpy seeds must be >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def number_in(kind, bounds):
+    """argparse type: a `kind` number in [lo, hi] = `bounds`, else a usage error."""
 
+    def parse(text: str):
+        value = kind(text)
+        if not bounds[0] <= value <= bounds[1]:
+            raise argparse.ArgumentTypeError(f"must be in {list(bounds)}, got {text}")
+        return value
 
-def non_negative_float(text: str) -> float:
-    """argparse type of `fit --min-distance`: a finite distance >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_survey = sub.add_parser("survey", help="generate a synthetic RSS survey CSV")
     p_survey.add_argument("--config", required=True, help="scenario config JSON")
-    p_survey.add_argument("--seed", type=non_negative_int, default=None)
+    p_survey.add_argument("--seed", type=number_in(int, SEED), default=None)
     p_survey.add_argument("--out", required=True, help="output CSV path")
 
     p_fit = sub.add_parser("fit", help="calibrate the quartic for one RSU")
     p_fit.add_argument("in_csv", help="survey CSV input")
     p_fit.add_argument("--rsu", required=True, help="RSU id to calibrate")
     p_fit.add_argument(
-        "--min-distance", type=non_negative_float, default=60.0,
+        "--min-distance", type=number_in(float, LENGTH_M), default=60.0,
         help="near-field cutoff in meters (default 60)",
     )
     p_fit.add_argument("--out", required=True, help="fit report JSON path")
@@ -517,14 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--hidden", default="2..10", help="hidden-size range LO..HI (default 2..10)"
     )
     p_sweep.add_argument(
-        "--seeds", type=non_negative_int, default=20,
-        help="number of seeds (default 20)",
+        "--seeds", type=number_in(int, (0, 100)), default=20,
+        help="number of seeds, at most 100 (default 20)",
     )
     p_sweep.add_argument("--out", required=True, help="ranked table CSV path")
 
     p_drive = sub.add_parser("drive", help="simulated drive with DGPS outages")
     p_drive.add_argument("--config", required=True, help="scenario config JSON")
-    p_drive.add_argument("--seed", type=non_negative_int, default=None)
+    p_drive.add_argument("--seed", type=number_in(int, SEED), default=None)
     p_drive.add_argument("--out", required=True, help="trace CSV path")
     return parser
 

@@ -67,3 +67,7 @@ class NoCoverage(VanetPosError):
 
 class ConfigError(VanetPosError):
     """Malformed or inconsistent scenario configuration."""
+
+
+class OutOfRange(VanetPosError):
+    """A config number outside its field's stated range."""

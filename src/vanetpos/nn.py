@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .channel import SurveyDataset
+from .domain import check_ranges, ranged
 from .errors import DimensionMismatch, EmptyBatch, TooFewSamples, VanetPosError
 from .metrics import MetricsReport, regression_metrics
 
@@ -76,16 +77,13 @@ class SplitIndices:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    max_epochs: int = 1000
-    patience: int = 6
-    learning_rate: float = 0.01
-    momentum: float = 0.9
+    max_epochs: int = ranged(1000, 1, 100_000)
+    patience: int = ranged(6, 1, 100_000)
+    learning_rate: float = ranged(0.01, 1e-6, 10.0)
+    momentum: float = ranged(0.9, 0.0, 0.999)
 
     def __post_init__(self) -> None:
-        if self.max_epochs <= 0 or self.patience <= 0 or self.learning_rate <= 0:
-            raise ValueError("max_epochs, patience and learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)

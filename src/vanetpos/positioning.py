@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .channel import WIFI_CHANNEL_MAX, WIFI_CHANNEL_MIN, Rsu, SurveyLayout
 from .channel import channels_overlap
+from .domain import LENGTH_M, check_ranges, ranged
 from .errors import InsufficientAnchors, NoCoverage
 from .fit import Polynomial4
 from .geometry import (
@@ -43,18 +44,13 @@ class FixSource(Enum):
 class SelectionPolicy:
     """RSU selection and deployment rules."""
 
-    min_rsu_count: int = 2
+    min_rsu_count: int = ranged(2, 2, 100)
     require_distinct_channels: bool = True
-    min_rsu_spacing_m: float = 100.0
-    near_field_m: float = 60.0
+    min_rsu_spacing_m: float = ranged(100.0, *LENGTH_M)
+    near_field_m: float = ranged(60.0, *LENGTH_M)
 
     def __post_init__(self) -> None:
-        if self.min_rsu_count < 2:
-            raise ValueError("min_rsu_count must be >= 2")
-        if self.min_rsu_spacing_m < 0:
-            raise ValueError("min_rsu_spacing_m must be >= 0")
-        if self.near_field_m < 0:
-            raise ValueError("near_field_m must be >= 0")
+        check_ranges(self)
 
 
 class Beacon(NamedTuple):

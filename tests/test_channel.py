@@ -1,5 +1,9 @@
+import json
+import math
 import re
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from vanetpos.channel import (
     sample_rss,
     write_survey_csv,
 )
-from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange, VanetPosError
+from vanetpos.cli import main
+from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange, OutOfRange
 from vanetpos.geometry import LocalPoint
 from vanetpos.nn import dataset_from_columns, dataset_from_survey
 
@@ -26,6 +31,20 @@ from helpers import column, standard_rsu_row
 
 def default_layout(channels=(1, 7, 13)):
     return SurveyLayout(rsus=standard_rsu_row([0.0, 100.0, 200.0], channels))
+
+
+def survey_exit(edit, tmp_path, capsys):
+    """`survey`'s exit code on configs/drive.json with `edit`'s sections
+    updated, and its one stderr line's field, when no file was written."""
+    cfg = json.loads((Path(__file__).parent.parent / "configs/drive.json").read_text())
+    for section, values in edit.items():
+        cfg[section].update(values)
+    config, out = tmp_path / "edge.json", tmp_path / "edge.csv"
+    config.write_text(json.dumps(cfg))
+    code = main(["survey", "--config", str(config), "--out", str(out)])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not out.exists()
+    return code, line.removeprefix("config error: ").split(" must be in ")[0]
 
 
 def all_samples(survey):
@@ -354,32 +373,41 @@ class TestValidation:
     )
     def test_sigma_with_overflowing_square_rejected(self, name, sigma):
         # generate_survey raised OverflowError from `sigma**2`
-        with pytest.raises(ValueError, match=f"^{name} must have a finite square"):
+        message = f"{name} must be in [0.0, 100.0], got {sigma!r}"
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             ChannelModel(**{name: sigma})
 
-    def test_overflowing_cochannel_variance_names_the_rsu(self):
+    def test_overflowing_cochannel_variance_rejected_by_the_sigma_range(self):
         # each square is finite, the variance of two interferers is not: the
         # survey drew inf RSS
-        model = ChannelModel(interference_sigma_db=1e154)
-        with pytest.raises(VanetPosError) as exc:
-            generate_survey(default_layout((1, 1, 1)), model, seed=0)
-        assert str(exc.value) == "RSU ap0: co-channel noise variance overflows"
+        with pytest.raises(OutOfRange) as exc:
+            ChannelModel(interference_sigma_db=1e154)
+        assert str(exc.value) == (
+            "interference_sigma_db must be in [0.0, 100.0], got 1e+154"
+        )
 
-    def test_largest_finite_noise_variance_draws_finite_rss(self):
-        model = ChannelModel(interference_sigma_db=9e153)
-        survey = generate_survey(default_layout((1, 1, 1)), model, seed=0)
+    def test_largest_finite_noise_variance_draws_finite_rss(self, tmp_path, capsys):
+        # the largest sigmas, each RSU with two co-channel interferers
+        sigmas = ("near_sigma_db", "far_sigma_db", "interference_sigma_db")
+        model = ChannelModel(**dict.fromkeys(sigmas, 100.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            survey = generate_survey(default_layout((1, 1, 1)), model, seed=0)
         assert np.all(np.isfinite(survey.rss_dbm))
+        for name in sigmas:
+            beyond = {"channel": {name: math.nextafter(100.0, math.inf)}}
+            assert survey_exit(beyond, tmp_path, capsys) == (2, f"channel.{name}")
 
     @pytest.mark.parametrize(
         "layout, message",
         [
-            ({"lane_y_m": 1e200}, "RSU ap0: squared distance to the test line at "
-             "x=0.0 overflows"),
+            ({"lane_y_m": 1e200}, "lane_y_m must be in [-1000000.0, 1000000.0], "
+             "got 1e+200"),
             # the track's far end: 0, 1e154, 2e154
-            ({"end_m": 2e154, "step_m": 1e154}, "RSU ap0: squared distance to "
-             "the test line at x=2e+154 overflows"),
+            ({"end_m": 2e154, "step_m": 1e154}, "end_m must be in [-1000000.0, "
+             "1000000.0], got 2e+154"),
             ({"start_m": -1e308, "end_m": 1e308, "step_m": 1e307},
-             "(end_m - start_m) / step_m overflows"),
+             "start_m must be in [-1000000.0, 1000000.0], got -1e+308"),
         ],
         ids=["lane", "track-end", "span"],
     )
@@ -387,11 +415,24 @@ class TestValidation:
         # wrote inf distances after a numpy overflow warning, or raised
         # OverflowError from positions()
         rsus = standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(OutOfRange) as exc:
             SurveyLayout(rsus=rsus, **layout)
-        assert str(exc.value).startswith(message)
+        assert str(exc.value) == message
 
-    def test_far_but_finite_geometry_surveys_finite_distances(self):
-        layout = replace(default_layout(), lane_y_m=1e150)
-        survey = generate_survey(layout, ChannelModel(), seed=0)
+    def test_far_but_finite_geometry_surveys_finite_distances(self, tmp_path, capsys):
+        layout = replace(default_layout(), lane_y_m=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            survey = generate_survey(layout, ChannelModel(), seed=0)
         assert np.all(np.isfinite(survey.distance_m))
+        beyond = {"layout": {"lane_y_m": math.nextafter(1e6, math.inf)}}
+        assert survey_exit(beyond, tmp_path, capsys) == (2, "layout.lane_y_m")
+
+    def test_survey_grid_past_the_cell_bound_rejected_before_any_grid(self):
+        # a finite but huge position count passed: 1e9 positions, 8 GB
+        rsus = standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
+        SurveyLayout(rsus=rsus, end_m=333_332.0, step_m=1.0)  # 999,999 cells
+        with pytest.raises(ValueError, match="^333334 positions x 3 RSUs must be 1 to "):
+            SurveyLayout(rsus=rsus, end_m=333_333.0, step_m=1.0)
+        with pytest.raises(ValueError, match="^1000000001 positions x 1 RSUs"):
+            SurveyLayout(rsus=rsus[:1], start_m=-5e5, end_m=5e5, step_m=1e-3)

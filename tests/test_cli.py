@@ -1,14 +1,21 @@
+import contextlib
+import copy
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vanetpos import channel, cli, fit, nn, positioning
 from vanetpos.cli import load_scenario, main
@@ -206,8 +213,42 @@ def test_negative_seed_flag_exit_1_one_line(argv, tmp_path, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     errors = [l for l in err.splitlines() if "error:" in l]
-    assert len(errors) == 1 and "must be >= 0" in errors[0]
+    assert len(errors) == 1 and "must be in [0, " in errors[0]
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["sweep", "in.csv", "--hidden", "1..100000000"], 2,
+         "config error: --hidden range '1..100000000' must lie in [1, 100]"),
+        (["sweep", "in.csv", "--hidden", "0..3"], 2,
+         "config error: --hidden range '0..3' must lie in [1, 100]"),
+        (["sweep", "in.csv", "--seeds", 101], 1,
+         "vanetpos sweep: error: argument --seeds: must be in [0, 100], got 101"),
+        (["fit", "in.csv", "--rsu", "ap0", "--min-distance", "1e7"], 1,
+         "vanetpos fit: error: argument --min-distance: must be in "
+         "[0.0, 1000000.0], got 1e7"),
+        (["drive", "--config", "c.json", "--seed", 2**64], 1,
+         "vanetpos drive: error: argument --seed: must be in "
+         f"[0, {2**64 - 1}], got {2**64}"),
+    ],
+    ids=["hidden-huge", "hidden-zero", "seeds", "min-distance", "seed"],
+)
+def test_flag_outside_its_range_rejected_at_parse_time(
+    argv, code, message, tmp_path, capsys
+):
+    # `--hidden 1..100000000` built a 1e8-entry tuple, then trained it; the
+    # input paths do not exist, so any work would fail another way
+    out = tmp_path / "x.csv"
+    try:
+        exit_code = main([str(a) for a in argv] + ["--out", str(out)])
+    except SystemExit as usage:
+        exit_code = usage.code
+    assert exit_code == code
+    err = capsys.readouterr().err
+    assert [l for l in err.splitlines() if "error:" in l] == [message]
+    assert not out.exists()
 
 
 def poison_survey(src, dst, x, rsu_id, column, value):
@@ -364,18 +405,19 @@ def _two_interferers(cfg):
     "edit, prefix, names",
     [
         (lambda c: c["channel"].update(far_sigma_db=1e200),
-         "config error: ", "far_sigma_db must have a finite square"),
+         "config error: ", "channel.far_sigma_db must be in [0.0, 100.0], got 1e+200"),
         (lambda c: c["channel"].update(near_sigma_db=1e160),
-         "config error: ", "near_sigma_db must have a finite square"),
+         "config error: ", "channel.near_sigma_db must be in [0.0, 100.0]"),
         (lambda c: c["channel"].update(interference_sigma_db=1e200),
-         "config error: ", "interference_sigma_db must have a finite square"),
-        (_two_interferers, "error: RSU ap0: ", "co-channel noise variance overflows"),
+         "config error: ", "channel.interference_sigma_db must be in [0.0, 100.0]"),
+        (_two_interferers, "config error: ",
+         "channel.interference_sigma_db must be in [0.0, 100.0], got 1e+154"),
         (lambda c: c["layout"].update(lane_y_m=1e200),
-         "config error: ", "RSU ap0: squared distance to the test line"),
+         "config error: ", "layout.lane_y_m must be in [-1000000.0, 1000000.0]"),
         (lambda c: c["layout"]["rsus"][1].update(y_m=1e200),
-         "config error: ", "RSU ap150: squared distance to the test line"),
+         "config error: ", "layout.rsus[1].y_m must be in [-1000000.0, 1000000.0]"),
         (lambda c: c["layout"].update(start_m=-1e308, end_m=1e308, step_m=1e307),
-         "config error: ", "(end_m - start_m) / step_m overflows"),
+         "config error: ", "layout.start_m must be in [-1000000.0, 1000000.0]"),
     ],
     ids=["far-sigma", "near-sigma", "interference-sigma", "two-interferers",
          "lane", "rsu-offset", "span"],
@@ -399,6 +441,93 @@ def test_overflowing_config_exit_2_one_line_no_file(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix) and names in lines[0]
     assert not out.exists()
+
+
+def _numeric_keys(node, path=()):
+    """The key path of every number in a parsed config (a bool is none)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for k, v in items for p in _numeric_keys(v, path + (k,))]
+    return [path] if type(node) in (int, float) else []
+
+
+_DRIVE = json.loads((CONFIGS / "drive.json").read_text())
+# every number of the shipped drive config, and the keys the nn estimator
+# trains with
+_EXTREME_KEYS = _numeric_keys(_DRIVE) + [
+    ("estimator", k)
+    for k in ("hidden", "train_seed", "max_epochs", "learning_rate", "momentum",
+              "patience")
+]
+_NN_KEYS = _EXTREME_KEYS[-6:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.sampled_from(_EXTREME_KEYS),
+    value=st.sampled_from([1e307, -1e307, 1e-310, -1e-310, 0, 1e154, 1e19,
+                           2**63, -(2**63)]),
+    command=st.sampled_from(["survey", "drive"]),
+)
+# each exited 1, or exited 0 or 3 after a RuntimeWarning, before the ranges
+@example(key=("layout", "rsus", 1, "y_m"), value=1e154, command="drive")
+@example(key=("layout", "end_m"), value=1e19, command="survey")
+@example(key=("layout", "start_m"), value=-(2**63), command="drive")
+@example(key=("channel", "far_sigma_db"), value=1e154, command="drive")
+@example(key=("channel", "ref_distance_m"), value=1e-310, command="survey")
+@example(key=("channel", "path_loss_exponent"), value=1e307, command="drive")
+@example(key=("estimator", "hidden"), value=2**63, command="drive")
+@example(key=("estimator", "learning_rate"), value=1e19, command="drive")
+def test_one_extreme_config_number_keeps_the_exit_contract(key, value, command):
+    # exit 0, 2 or 3; one stderr line on an error; no RuntimeWarning; and no
+    # non-finite number in the file written
+    cfg = copy.deepcopy(_DRIVE)
+    if key in _NN_KEYS:  # a short training, where a value is in range
+        cfg["estimator"], command = {"kind": "nn", "max_epochs": 30}, "drive"
+    target = cfg
+    for part in key[:-1]:
+        target = target[part]
+    target[key[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "extreme.json", Path(tmp) / "out.csv"
+        config.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(config), "--out", str(out)])
+        written = out.read_text() if out.exists() else ""
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) == (code != 0)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not {"nan", "inf", "-inf"} & set(re.split("[,;\n]", written))
+
+
+def _child_env():
+    """The environment of a child Python that imports this tree's vanetpos."""
+    paths = [os.environ.get("PYTHONPATH", ""), str(ROOT / "src")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths[::-1])))
+
+
+def test_overflowing_sigma_prints_one_stderr_line_from_a_process(tmp_path):
+    # far_sigma_db 1e154 reached the quartic's SVD, and LAPACK wrote its own
+    # "On entry to DLASCL" lines to the process's C-level stderr, which
+    # capsys does not see
+    cfg = copy.deepcopy(_DRIVE)
+    cfg["channel"]["far_sigma_db"] = 1e154
+    config = tmp_path / "sigma.json"
+    config.write_text(json.dumps(cfg))
+    child = "import sys\nfrom vanetpos.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "drive", "--config", str(config),
+         "--out", str(tmp_path / "trace.csv")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "config error: channel.far_sigma_db must be in [0.0, 100.0], got 1e+154"
+    ]
 
 
 class TestFitCommand:
@@ -1043,12 +1172,10 @@ def test_drive_and_fit_do_not_import_numpy_ma(exp2_csv, tmp_path):
         "assert main(['fit', survey, '--rsu', 'ap200', '--out', report]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
-    paths = [os.environ.get("PYTHONPATH", ""), str(ROOT / "src")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths[::-1])))
     proc = subprocess.run(
         [sys.executable, "-c", child, str(CONFIGS / "drive.json"),
          str(tmp_path / "trace.csv"), str(exp2_csv), str(tmp_path / "fit.json")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
