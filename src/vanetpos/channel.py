@@ -27,6 +27,7 @@ WIFI_CHANNEL_MAX = 13
 # channels this far apart (or more) do not interfere
 _OVERLAP_SEPARATION = 5
 MAX_CELLS = 10**6  # positions x RSUs of one survey grid
+_CSV_BLOCK_CELLS = 4096  # survey cells formatted per write of the CSV
 
 
 @dataclass(frozen=True)
@@ -252,16 +253,20 @@ def write_survey_csv(dataset: SurveyDataset, path: Union[str, Path]) -> int:
     """Write the survey grid; returns the data row count.
 
     Rows in grid order, x_m then rsu_id, floats at 4 decimal places so
-    repeat runs are byte-identical.
+    repeat runs are byte-identical. Each write formats a block of about
+    `_CSV_BLOCK_CELLS` cells, so the text never exists whole in memory.
     """
-    lines = [SURVEY_CSV_HEADER]
-    for x, dists, levels in zip(
-        dataset.x_m.tolist(), dataset.distance_m.tolist(), dataset.rss_dbm.tolist()
-    ):
-        for rsu, d, r in zip(dataset.rsus, dists, levels):
-            lines.append(f"{x:.4f},{rsu.id},{r:.4f},{d:.4f},{rsu.channel}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+    grid = (dataset.x_m, dataset.distance_m, dataset.rss_dbm)
+    step = max(_CSV_BLOCK_CELLS // len(dataset.rsus), 1)
+    with open(path, "w") as f:
+        f.write(SURVEY_CSV_HEADER + "\n")
+        for i in range(0, len(dataset.x_m), step):
+            f.write("".join(
+                f"{x:.4f},{rsu.id},{r:.4f},{d:.4f},{rsu.channel}\n"
+                for x, dists, levels in zip(*(a[i:i + step].tolist() for a in grid))
+                for rsu, d, r in zip(dataset.rsus, dists, levels)
+            ))
+    return dataset.rss_dbm.size
 
 
 def read_survey_csv(path: Union[str, Path]) -> List[RssSample]:

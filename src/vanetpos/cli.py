@@ -134,7 +134,7 @@ class _RsuEntry:
 
 
 # the JSON types each scalar annotation accepts; bool is never a number
-_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
 # resolving a dataclass's string annotations is costly: once per class
 _field_types = functools.lru_cache(maxsize=None)(get_type_hints)
 
@@ -352,7 +352,9 @@ def _parse_hidden_range(text: str) -> Tuple[int, ...]:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError as e:
         raise ConfigError(f"--hidden must look like LO..HI, got {text!r}") from e
-    if not HIDDEN[0] <= lo <= hi <= HIDDEN[1]:
+    if lo > hi:
+        raise ConfigError(f"--hidden range {text!r}: LO exceeds HI")
+    if not (HIDDEN[0] <= lo and hi <= HIDDEN[1]):
         raise ConfigError(f"--hidden range {text!r} must lie in {list(HIDDEN)}")
     return tuple(range(lo, hi + 1))
 

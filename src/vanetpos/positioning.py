@@ -45,7 +45,6 @@ class SelectionPolicy:
     """RSU selection and deployment rules."""
 
     min_rsu_count: int = ranged(2, 2, 100)
-    require_distinct_channels: bool = True
     min_rsu_spacing_m: float = ranged(100.0, *LENGTH_M)
     near_field_m: float = ranged(60.0, *LENGTH_M)
 
@@ -146,12 +145,11 @@ def select_rsus(
     `beacons` are the calibrated ones as heard, one per RSU; `is_good(b)`
     ranges `b` and says whether it is clear of the near field and of any
     clamp. Not degraded: every good beacon the weakest-first greedy pass
-    keeps on mutually non-overlapping channels (all if the channel rule is
-    off), when that reaches `min_rsu_count`; a beacon on a channel blocked
-    by an earlier pick is never ranged, and the pass stops once the picks
-    block every channel. Else, degraded: the first `min_rsu_count` of the
-    good beacons, then the bad, each weakest first. No beacon is ranged
-    twice.
+    keeps on mutually non-overlapping channels, when that reaches
+    `min_rsu_count`; a beacon on a channel blocked by an earlier pick is
+    never ranged, and the pass stops once the picks block every channel.
+    Else, degraded: the first `min_rsu_count` of the good beacons, then the
+    bad, each weakest first. No beacon is ranged twice.
     """
     needed = policy.min_rsu_count
     if len(beacons) < needed:
@@ -167,10 +165,9 @@ def select_rsus(
             ok = good_by_id[b.rsu.id] = is_good(b)
             if ok:
                 picked.append(b)
-                if policy.require_distinct_channels:
-                    blocked |= _BLOCKS[b.rsu.channel]
-                    if blocked == _ALL_BLOCKED:
-                        break  # no later beacon could be picked
+                blocked |= _BLOCKS[b.rsu.channel]
+                if blocked == _ALL_BLOCKED:
+                    break  # no later beacon could be picked
     if len(picked) >= needed:
         return picked, False
     for b in ordered:  # range what the pass skipped

@@ -54,12 +54,10 @@ def reference_select_rsus(
             f"{len(good) + len(bad)} calibrated RSUs heard, need {needed}"
         )
     ordered = _sorted_weakest_first(good)
-    picked = ordered
-    if policy.require_distinct_channels:
-        picked = []
-        for b in ordered:
-            if all(not channels_overlap(b.rsu.channel, p.rsu.channel) for p in picked):
-                picked.append(b)
+    picked = []
+    for b in ordered:
+        if all(not channels_overlap(b.rsu.channel, p.rsu.channel) for p in picked):
+            picked.append(b)
     if len(picked) >= needed:
         return picked, False
     return (ordered + _sorted_weakest_first(bad))[:needed], True

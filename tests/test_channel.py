@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -320,6 +321,24 @@ class TestSurveyCsv:
         write_survey_csv(survey, p1)
         write_survey_csv(survey, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_written_in_blocks_below_the_file_size(self, tmp_path):
+        # the whole text in memory took 21 MB of Python strings and floats
+        # for this 3.8 MB file
+        layout = SurveyLayout(
+            rsus=standard_rsu_row([0.0, 100.0, 200.0], (1, 7, 13)),
+            start_m=0.0, end_m=33_332.0, step_m=1.0,
+        )
+        survey = generate_survey(layout, ChannelModel(), seed=9)
+        path = tmp_path / "survey.csv"
+        tracemalloc.start()
+        try:
+            n = write_survey_csv(survey, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 99_999
+        assert peak < path.stat().st_size
 
     def test_row_order(self, tmp_path):
         survey = generate_survey(default_layout(), ChannelModel(), seed=9)

@@ -1,11 +1,16 @@
-"""Static checks on the package source, with the stdlib `ast` only."""
+"""Static checks on the package source and its metadata, with the stdlib only."""
 
 import ast
+import importlib
+import tomllib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vanetpos"
+import vanetpos.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vanetpos"
 
 
 def unused_imports(source: str):
@@ -44,3 +49,11 @@ def test_unused_import_is_found():
         "    return os.getpid()\n"
     )
     assert unused_imports(source) == [(3, "Optional")]
+
+
+def test_console_script_runs_cli_main():
+    # the tests import the package from src, so no installed script runs them
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    module, _, attr = scripts["vanetpos"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is vanetpos.cli.main

@@ -122,17 +122,6 @@ class TestSelectRsus:
         selected, _ = select(beacons, [], SelectionPolicy())
         assert [x.rsu.id for x in selected] == ["a", "c"]
 
-    def test_waived_channel_rule_picks_every_good_beacon(self):
-        beacons = [
-            beacon("b", 100.0, 6, -60.0),
-            beacon("a", 0.0, 6, -75.0),
-            beacon("c", 200.0, 6, -50.0),
-        ]
-        policy = SelectionPolicy(require_distinct_channels=False)
-        selected, degraded = select(beacons, [beacon("d", 300.0, 1, -90.0)], policy)
-        assert [b.rsu.id for b in selected] == ["a", "b", "c"]
-        assert degraded is False
-
     def test_top_up_keeps_good_weakest_first_then_weakest_bad(self):
         good = [beacon("x", 0.0, 1, -60.0), beacon("y", 100.0, 7, -80.0)]
         bad = [
@@ -162,14 +151,10 @@ def judged_beacons(draw):
 
 class TestSelectRsusAgainstReference:
     @settings(max_examples=600, deadline=None)
-    @given(judged_beacons(), st.integers(2, 4), st.booleans())
-    def test_same_selection_ranging_only_what_it_can_pick(
-        self, judged, needed, distinct
-    ):
+    @given(judged_beacons(), st.integers(2, 4))
+    def test_same_selection_ranging_only_what_it_can_pick(self, judged, needed):
         beacons, good_ids = judged
-        policy = SelectionPolicy(
-            min_rsu_count=needed, require_distinct_channels=distinct
-        )
+        policy = SelectionPolicy(min_rsu_count=needed)
         ranged = []
 
         def is_good(b):
@@ -191,7 +176,7 @@ class TestSelectRsusAgainstReference:
         assert degraded is expected_degraded
         ids = [b.rsu.id for b in ranged]
         assert len(ids) == len(set(ids))  # no beacon ranged twice
-        if degraded or not distinct:
+        if degraded:
             assert set(ids) == {b.rsu.id for b in beacons}
             return
         # a clean selection never ranges a beacon an earlier pick blocks
@@ -480,18 +465,18 @@ class TestLocate:
             )
 
     def test_channel_rule_disabled_uses_all_anchors_cleanly(self):
-        # same-channel RSUs are fine when the policy waives the rule
+        # three good anchors on mutually clear channels: every one is used
         truth = LocalPoint(150.0, 80.0, 1.10)
-        anchors = {"a": 0.0, "b": 150.0, "c": 300.0}
+        anchors = {"a": (0.0, 1), "b": (150.0, 7), "c": (300.0, 13)}
         beacons = []
-        for rsu_id, x in anchors.items():
+        for rsu_id, (x, channel) in anchors.items():
             d = math.dist((x, 0.0, 1.10), (truth.x_m, truth.y_m, truth.z_m))
-            beacons.append(beacon(rsu_id, x, 6, rss_for_distance(d)))
+            beacons.append(beacon(rsu_id, x, channel, rss_for_distance(d)))
         fix = locate(
             None,
             beacons,
             self.estimator_three_rsus(),
-            SelectionPolicy(require_distinct_channels=False),
+            SelectionPolicy(),
             ORIGIN,
             hint=LocalPoint(140.0, 70.0, 1.10),
         )
