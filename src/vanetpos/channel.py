@@ -210,8 +210,8 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     `sample_rss` call per cell in that order: the dataset is a pure
     function of (layout, model, seed). A position closer than the
     reference distance to an RSU raises BelowReferenceDistance for the
-    first such position, with its nearest distance, before any noise is
-    drawn.
+    first such position, naming it, its nearest RSU and their distance,
+    before any noise is drawn.
     """
     rsus = tuple(sorted(layout.rsus, key=lambda r: r.id))
     near, far = zip(*(_sigmas(model, count_interferers(r, rsus)) for r in rsus))
@@ -223,11 +223,14 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     # one dot product per cell, as np.linalg.norm takes it (np.einsum and
     # norm(axis=-1) round differently)
     dist = np.sqrt((offsets[..., None, :] @ offsets[..., :, None])[..., 0, 0])
-    nearest = dist.min(axis=1)
-    below = np.flatnonzero(nearest < model.ref_distance_m)
+    below = np.flatnonzero(dist.min(axis=1) < model.ref_distance_m)
     if below.size:
-        # raises BelowReferenceDistance
-        expected_rss(model, float(nearest[below[0]]))
+        i = below[0]
+        j = int(dist[i].argmin())
+        raise BelowReferenceDistance(
+            f"RSU {rsus[j].id} at x={float(x[i])}: distance {float(dist[i, j])} m "
+            f"closer than reference {model.ref_distance_m} m"
+        )
     log = np.log10(dist / model.ref_distance_m)
     tx_ref_dbm = np.array([r.tx_ref_rss_dbm for r in rsus])
     floor = model.rss_floor_dbm

@@ -107,7 +107,9 @@ class ScenarioConfig:
         check_ranges(self)
         _check_latitudes(self.origin)  # the local frame's own rule
         for lo, hi in self.gps_outages:
-            if lo > hi or lo < self.layout.start_m or hi > self.layout.end_m:
+            if lo > hi:
+                raise ValueError(f"outage [{lo}, {hi}] starts after it ends")
+            if lo < self.layout.start_m or hi > self.layout.end_m:
                 raise ValueError(
                     f"outage [{lo}, {hi}] outside survey range "
                     f"[{self.layout.start_m}, {self.layout.end_m}]"

@@ -7,19 +7,19 @@ the returned weights are the snapshot from the best validation epoch. The
 sweep trains one network per (hidden size, seed) pair and ranks the
 results the way the experiment logs report them. The whole grid trains
 as one stack, each network on its own split, bit-identical to training it
-alone. Rows are ordered by hidden size, one block of rows per size; the
-parameters, velocities and gradients are one (S, K) array each, updated in
-place: a row holds one network's w1 (row-major), b1 and w2, zeros up to
-K - 1, and b2 in the last column, K = h_max*(i + 2) + 1. Each lockstep
-epoch runs the matmuls, b1 add, tanh and hidden-layer gradients per block,
-then the output gradient, MSEs, b2, momentum and patience updates once
-over all rows.
+alone. The stack takes its networks in ascending hidden size, so row r is
+network r and each size is one block of rows; the parameters, velocities
+and gradients are one (S, K) array each, updated in place: a row holds one
+network's w1 (row-major), b1 and w2, zeros up to K - 1, and b2 in the last
+column, K = h_max*(i + 2) + 1. Each lockstep epoch runs the matmuls, b1
+add, tanh and hidden-layer gradients per block, then the output gradient,
+MSEs, b2, momentum and patience updates once over all rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -52,17 +52,9 @@ class MlpModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MlpModel):
             return NotImplemented
-        return (
-            self.n_inputs == other.n_inputs
-            and self.n_hidden == other.n_hidden
-            and np.array_equal(self.w1, other.w1)
-            and np.array_equal(self.b1, other.b1)
-            and np.array_equal(self.w2, other.w2)
-            and self.b2 == other.b2
-            and np.array_equal(self.in_min, other.in_min)
-            and np.array_equal(self.in_max, other.in_max)
-            and self.out_min == other.out_min
-            and self.out_max == other.out_max
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
         )
 
 
@@ -296,18 +288,20 @@ def _train_stack(
 ) -> Tuple[List[MlpModel], List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Train S networks at once, network s on splits[s], in lockstep epochs.
 
-    The networks may differ in hidden size: the stack orders them by it,
-    so each hidden size is one block of rows. Every network keeps its own
-    min-max normalization (fitted on its training split), momentum,
-    best-validation snapshot and patience counter; a network whose patience
-    runs out leaves the stack. Returns the best snapshots, in the order of
-    `models`, and per epoch the arrays (networks still training, as indices
-    into `models`; their normalized train MSEs; their validation MSEs).
+    The networks come in ascending hidden size (ValueError otherwise), so
+    each size is one block of rows, and every split has validation rows.
+    Every network keeps its own min-max normalization (fitted on its
+    training split), momentum, best-validation snapshot and patience
+    counter; a network whose patience runs out leaves the stack. Returns
+    the best snapshots, snapshot s of network s, and per epoch the arrays
+    (networks still training, as indices into `models`; their normalized
+    train MSEs; their validation MSEs).
     """
-    n_nets = len(models)
-    order = sorted(range(n_nets), key=lambda s: models[s].n_hidden)
-    rows_tr = np.array([splits[s].train for s in order], dtype=int)
-    rows_va = np.array([splits[s].validation for s in order], dtype=int)
+    hidden = np.array([m.n_hidden for m in models])
+    if np.any(hidden[1:] < hidden[:-1]):
+        raise ValueError(f"stack hidden sizes must ascend, got {hidden.tolist()}")
+    rows_tr = np.array([s.train for s in splits], dtype=int)
+    rows_va = np.array([s.validation for s in splits], dtype=int)
     x_tr, y_tr = dataset.inputs[rows_tr], dataset.targets[rows_tr]
     in_min, in_max = x_tr.min(axis=1), x_tr.max(axis=1)
     out_min, out_max = y_tr.min(axis=1), y_tr.max(axis=1)
@@ -326,10 +320,7 @@ def _train_stack(
     yn_tr = _normalize(y_tr, y_lo, y_hi)
     xn_va = _normalize(dataset.inputs[rows_va], x_lo, x_hi)
     yn_va = _normalize(dataset.targets[rows_va], y_lo, y_hi)
-    has_val = rows_va.shape[1] > 0
     del x_tr, y_tr  # the whole grid's raw copies: keep only the normalized ones
-
-    hidden = np.array([models[s].n_hidden for s in order])
     sizes = sorted(set(hidden.tolist()))
 
     def layout(rows) -> List[Tuple[int, int]]:
@@ -343,17 +334,14 @@ def _train_stack(
         return (params, _param_views(grads, layout(live)),
                 [xn_tr[r] for r in rows], [xn_va[r] for r in rows])
 
-    packed = _stack_params([models[s] for s in order])  # row r: network order[r]
+    packed = _stack_params(models)
     best, velocity, grads = packed.copy(), np.zeros_like(packed), np.zeros_like(packed)
-    live = np.arange(n_nets)  # stack slot -> row
-    nets = np.array(order)  # stack slot -> network
+    live = np.arange(len(models))  # stack slot -> network
 
     params, grad_views, xb_tr, xb_va = block_views()
-    best_val = np.full(n_nets, math.inf)
-    if has_val:
-        best_val = _mse(_stack_forward(params, xb_va)[1], yn_va)
-    epochs_since_best = np.zeros(n_nets, dtype=int)
-    mses = []  # per epoch: (nets, train MSE, validation MSE)
+    best_val = _mse(_stack_forward(params, xb_va)[1], yn_va)
+    epochs_since_best = np.zeros(len(models), dtype=int)
+    mses = []  # per epoch: (live, train MSE, validation MSE)
 
     h1s, pred = _stack_forward(params, xb_tr)
     for _ in range(config.max_epochs):
@@ -365,10 +353,8 @@ def _train_stack(
 
         h1s, pred = _stack_forward(params, xb_tr)
         train_mse = _mse(pred, yn_tr)
-        val_mse = (
-            _mse(_stack_forward(params, xb_va)[1], yn_va) if has_val else train_mse
-        )
-        mses.append((nets, train_mse, val_mse))
+        val_mse = _mse(_stack_forward(params, xb_va)[1], yn_va)
+        mses.append((live, train_mse, val_mse))
         improved = val_mse < best_val
         if improved.any():
             best_val[improved] = val_mse[improved]
@@ -377,7 +363,7 @@ def _train_stack(
         keep = epochs_since_best < config.patience
         if not keep.all():
             # compact only when a network stops: indexing every epoch costs more
-            live, nets = live[keep], nets[keep]
+            live = live[keep]
             if not live.size:
                 break
             h1s = [h1[keep[rows]] for (rows, _), h1 in zip(params[0], h1s)]
@@ -389,17 +375,16 @@ def _train_stack(
             )
             params, grad_views, xb_tr, xb_va = block_views()
 
-    trained = [models[s] for s in order]
     views, b2 = _param_views(best, layout(slice(None)))
-    for rows, block in views:
-        for r, w1, b1, w2 in zip(range(rows.start, rows.stop), *block):
-            trained[r] = replace(
-                trained[r], w1=w1.copy(), b1=b1[0].copy(), w2=w2[:, 0].copy(),
-                b2=float(b2[r, 0]),
-                in_min=in_min[r], in_max=in_max[r],
-                out_min=float(out_min[r]), out_max=float(out_max[r]),
-            )
-    return [trained[r] for r in np.argsort(order)], mses
+    weights = [w for _, block in views for w in zip(*block)]  # row r: network r
+    return [
+        replace(
+            m, w1=w1.copy(), b1=b1[0].copy(), w2=w2[:, 0].copy(), b2=float(b2[r, 0]),
+            in_min=in_min[r], in_max=in_max[r],
+            out_min=float(out_min[r]), out_max=float(out_max[r]),
+        )
+        for r, (m, (w1, b1, w2)) in enumerate(zip(models, weights))
+    ], mses
 
 
 def train(
@@ -414,8 +399,9 @@ def train(
     minimum (or at max_epochs) and returns the best-validation snapshot.
     History MSEs are reported in meters squared.
     """
-    if len(splits.train) == 0:
-        raise TooFewSamples("training split is empty")
+    for name, rows in (("training", splits.train), ("validation", splits.validation)):
+        if not rows:
+            raise TooFewSamples(f"{name} split is empty")
     [best], records = _train_stack([model], dataset, [splits], config)
     to_m2 = ((best.out_max - best.out_min) / 2.0) ** 2
     return best, [
@@ -469,7 +455,7 @@ def sweep(dataset: NnDataset, config: SweepConfig) -> Tuple[SweepRow, ...]:
         raise TooFewSamples(
             f"a 2-row test split needs >= {_MIN_SWEEP_ROWS} positions, got {dataset.n}"
         )
-    grid = [(hidden, seed) for hidden in config.hidden_sizes for seed in config.seeds]
+    grid = [(h, seed) for h in sorted(config.hidden_sizes) for seed in config.seeds]
     if not grid:
         return ()
     by_seed = {seed: split_dataset(dataset.n, seed) for seed in config.seeds}

@@ -300,7 +300,9 @@ class TestSurveyGrid:
             Rsu("r1", LocalPoint(30.5, 7.0, 1.1), 3),
         ]
         layout = SurveyLayout(rsus, start_m=0.0, end_m=120.0, step_m=2.0)
-        with pytest.raises(BelowReferenceDistance, match=r"^distance 0\.5 m closer"):
+        with pytest.raises(
+            BelowReferenceDistance, match=r"^RSU r1 at x=30\.0: distance 0\.5 m closer"
+        ):
             generate_survey(layout, self.MODEL, 0)
 
 

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1141,13 +1143,18 @@ class TestDriveCommand:
 
     def test_outage_outside_range_exit_2(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "drive.json").read_text())
-        cfg["scenario"]["gps_outages"] = [[250.0, 400.0]]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        code, _, _ = run(
-            ["drive", "--config", path, "--out", tmp_path / "x.csv"], capsys
-        )
-        assert code == 2
+        for (lo, hi), reason in [
+            ((250.0, 400.0), "outside survey range [0.0, 300.0]"),
+            ((160.0, 80.0), "starts after it ends"),  # both ends inside the range
+        ]:
+            cfg["scenario"]["gps_outages"] = [[lo, hi]]
+            path.write_text(json.dumps(cfg))
+            code, _, err = run(
+                ["drive", "--config", path, "--out", tmp_path / "x.csv"], capsys
+            )
+            assert code == 2
+            assert err == f"config error: {path}: outage [{lo}, {hi}] {reason}\n"
 
     def test_drive_without_estimator_exit_2(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "drive.json").read_text())
@@ -1187,16 +1194,39 @@ def test_drive_and_fit_do_not_import_numpy_ma(exp2_csv, tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def readme_block(heading, language):
+    """The first `language` code block under `heading` in the README."""
+    section = (ROOT / "README.md").read_text().split(heading, 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_example_loads(tmp_path):
     # the README's "Config format" example, comments stripped, is a valid config
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Config format", 1)[1]
-    example = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "example.json"
-    path.write_text(re.sub(r"//.*", "", example))
+    path.write_text(re.sub(r"//.*", "", readme_block("## Config format", "jsonc")))
     config = load_scenario(str(path))
     assert [r.id for r in config.layout.rsus] == ["ap0"]
     assert config.estimator is not None and config.estimator.kind == "poly"
+
+
+def test_readme_library_example_runs(capsys):
+    exec(readme_block("## Library use", "python"), {})
+    rmse, r_square = map(float, capsys.readouterr().out.split())
+    assert rmse > 0 and 0 < r_square <= 1
+
+
+def test_readme_walkthrough_commands_exit_0(tmp_path, monkeypatch, capsys):
+    # each `vanetpos ...` line, run from a directory holding the shipped configs
+    shutil.copytree(CONFIGS, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)
+        for line in readme_block("## CLI walkthrough", "sh").splitlines()
+        if line.startswith("vanetpos ")
+    ]
+    assert [argv[1] for argv in commands] == ["survey", "fit", "fit", "sweep", "drive"]
+    for argv in commands:
+        assert run(argv[1:], capsys)[0] == 0, argv
 
 
 def test_benchmark_tracer_names_resolve():

@@ -51,6 +51,50 @@ def test_unused_import_is_found():
     assert unused_imports(source) == [(3, "Optional")]
 
 
+def unread_private_names(sources):
+    """Module-level `_name`s that no module of `sources` (module name ->
+    source) reads, as sorted (module, name) pairs; dunder names skipped."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            defined += [(module, n) for n in names if n[0] == "_" and n[:2] != "__"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((m, n) for m, n in defined if n not in read)
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_is_found():
+    sources = {
+        "a": (
+            "__all__ = []\n"
+            "_USED, _DEAD = 1, 2\n"
+            "class _Unused: pass\n"
+            "def _helper():\n"
+            "    return _USED\n"
+        ),
+        "b": "from . import a\ndef f():\n    return a._helper()\n",
+    }
+    assert unread_private_names(sources) == [("a", "_DEAD"), ("a", "_Unused")]
+
+
 def test_console_script_runs_cli_main():
     # the tests import the package from src, so no installed script runs them
     with open(ROOT / "pyproject.toml", "rb") as f:

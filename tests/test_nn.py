@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -69,7 +70,7 @@ def reference_train(model, dataset, splits, config):
     to_m2 = ((current.out_max - current.out_min) / 2.0) ** 2
 
     best = copy.deepcopy(current)
-    best_val = loss(current, x_val, y_val) if len(x_val) else np.inf
+    best_val = loss(current, x_val, y_val)
     epochs_since_best = 0
     history = []
     v_w1, v_b1 = np.zeros_like(current.w1), np.zeros_like(current.b1)
@@ -85,7 +86,7 @@ def reference_train(model, dataset, splits, config):
         current.w2 = current.w2 + v_w2
         current.b2 = current.b2 + v_b2
         train_mse = loss(current, x_train, y_train)
-        val_mse = loss(current, x_val, y_val) if len(x_val) else train_mse
+        val_mse = loss(current, x_val, y_val)
         history.append(EpochRecord(epoch, train_mse * to_m2, val_mse * to_m2))
         if val_mse < best_val:
             best_val = val_mse
@@ -188,6 +189,13 @@ class TestSplitDataset:
 class TestInitMlp:
     def test_deterministic(self):
         assert init_mlp(3, 8, seed=7) == init_mlp(3, 8, seed=7)
+
+    def test_equality_reads_every_field(self):
+        m = init_mlp(3, 4, seed=1)
+        for f in dataclasses.fields(m):
+            other = copy.deepcopy(m)
+            setattr(other, f.name, getattr(m, f.name) + 1)
+            assert other != m, f.name
 
     def test_weight_bounds(self):
         m = init_mlp(4, 9, seed=1)
@@ -457,8 +465,8 @@ class TestDatasetFromSurvey:
 
 
 class TestStackedTrainer:
-    """`sweep` trains all seeds of a hidden size as one stack; `train` is a
-    stack of one. Both must match `reference_train` bit for bit."""
+    """`sweep` trains the whole grid as one stack; `train` is a stack of
+    one. Both must match `reference_train` bit for bit."""
 
     def test_sweep_rows_match_per_network_reference(self):
         ds = TestSweep.survey_dataset()
@@ -493,13 +501,8 @@ class TestStackedTrainer:
                 TrainConfig(max_epochs=300, learning_rate=0.1, momentum=0.95),
             ),
             (TestSweep.survey_dataset(), split_dataset(41, seed=2), TrainConfig()),
-            (
-                linear_task(),
-                SplitIndices(train=tuple(range(0, 41, 2)), validation=(), test=(1, 3)),
-                TrainConfig(max_epochs=50),
-            ),
         ],
-        ids=["one-input", "survey", "no-validation"],
+        ids=["one-input", "survey"],
     )
     def test_train_matches_reference(self, dataset, splits, config):
         model = init_mlp(dataset.inputs.shape[1], 5, seed=7)
@@ -509,10 +512,10 @@ class TestStackedTrainer:
         assert history == ref_history
 
     def test_mixed_hidden_sizes_in_one_stack_match_reference(self):
-        # hidden sizes interleaved; at patience 3 the h=4 block empties at
-        # epoch 38 and the h=3 block at 62, while the h=2 networks train on
+        # three blocks of hidden sizes; at patience 3 the h=4 block empties
+        # at epoch 38 and the h=3 block at 62, while the h=2 networks train on
         ds = TestSweep.survey_dataset()
-        hidden, seeds = (4, 2, 4, 3, 2, 3), range(6)
+        hidden, seeds = (2, 2, 3, 3, 4, 4), (1, 4, 3, 5, 0, 2)
         models = [init_mlp(3, h, seed) for h, seed in zip(hidden, seeds)]
         splits = [split_dataset(ds.n, seed) for seed in seeds]
         config = TrainConfig(max_epochs=200, patience=3)
@@ -531,6 +534,25 @@ class TestStackedTrainer:
             ] == ref_history
             last_epoch[h] = max(last_epoch.get(h, 0), len(history))
         assert last_epoch == {4: 38, 3: 62, 2: 75}
+
+    def test_descending_hidden_sizes_fail_before_training(self, monkeypatch):
+        ds = TestSweep.survey_dataset()
+        models = [init_mlp(3, h, seed=0) for h in (2, 4, 3)]
+        splits = [split_dataset(ds.n, 0)] * 3
+        calls = []
+        monkeypatch.setattr(nn, "_stack_params", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"must ascend, got \[2, 4, 3\]"):
+            nn._train_stack(models, ds, splits, TrainConfig(max_epochs=5))
+        assert calls == []
+
+    def test_train_needs_training_and_validation_rows(self):
+        rows = tuple(range(0, 41, 2))
+        for name, splits in [
+            ("training", SplitIndices(train=(), validation=rows, test=(1, 3))),
+            ("validation", SplitIndices(train=rows, validation=(), test=(1, 3))),
+        ]:
+            with pytest.raises(TooFewSamples, match=f"^{name} split is empty$"):
+                train(init_mlp(1, 5, seed=7), linear_task(), splits, TrainConfig())
 
 
 MODEL_ARRAYS = ("w1", "b1", "w2", "in_min", "in_max")
