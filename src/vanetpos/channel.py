@@ -11,14 +11,14 @@ draw: a drive's calibration and the beacons it hears are both surveys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from .domain import COORD_M, LENGTH_M, LEVEL_DBM, SIGMA_DB, check_ranges, ranged
-from .errors import BelowReferenceDistance, ChannelOutOfRange, VanetPosError
+from .errors import VanetPosError
 from .geometry import LocalPoint
 
 WIFI_CHANNEL_MIN = 1
@@ -36,7 +36,8 @@ class Rsu:
 
     id: str
     position: LocalPoint
-    channel: int
+    # `positioning` indexes its channel blocks by this number
+    channel: int = ranged(MISSING, WIFI_CHANNEL_MIN, WIFI_CHANNEL_MAX)
     tx_ref_rss_dbm: float = -40.0
 
     def __post_init__(self) -> None:
@@ -46,11 +47,7 @@ class Rsu:
                 f"RSU id {self.id!r} must be non-empty, without ',', ';' or a "
                 "line break"
             )
-        if not WIFI_CHANNEL_MIN <= self.channel <= WIFI_CHANNEL_MAX:
-            raise ChannelOutOfRange(
-                f"RSU {self.id}: channel {self.channel} outside "
-                f"[{WIFI_CHANNEL_MIN}, {WIFI_CHANNEL_MAX}]"
-            )
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class SurveyDataset:
 def expected_rss(model: ChannelModel, distance_m: float) -> float:
     """Mean RSS at a given distance under the log-distance law."""
     if distance_m < model.ref_distance_m:
-        raise BelowReferenceDistance(
+        raise VanetPosError(
             f"distance {distance_m} m closer than reference "
             f"{model.ref_distance_m} m"
         )
@@ -156,7 +153,7 @@ def channels_overlap(a: int, b: int) -> bool:
     """Whether two Wi-Fi channels interfere (closer than 5 channels apart)."""
     for ch in (a, b):
         if not WIFI_CHANNEL_MIN <= ch <= WIFI_CHANNEL_MAX:
-            raise ChannelOutOfRange(
+            raise VanetPosError(
                 f"channel {ch} outside [{WIFI_CHANNEL_MIN}, {WIFI_CHANNEL_MAX}]"
             )
     return abs(a - b) < _OVERLAP_SEPARATION
@@ -209,7 +206,7 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     so the values and the generator state match, bit for bit, one
     `sample_rss` call per cell in that order: the dataset is a pure
     function of (layout, model, seed). A position closer than the
-    reference distance to an RSU raises BelowReferenceDistance for the
+    reference distance to an RSU raises VanetPosError for the
     first such position, naming it, its nearest RSU and their distance,
     before any noise is drawn.
     """
@@ -227,7 +224,7 @@ def generate_survey(layout: SurveyLayout, model: ChannelModel, seed) -> SurveyDa
     if below.size:
         i = below[0]
         j = int(dist[i].argmin())
-        raise BelowReferenceDistance(
+        raise VanetPosError(
             f"RSU {rsus[j].id} at x={float(x[i])}: distance {float(dist[i, j])} m "
             f"closer than reference {model.ref_distance_m} m"
         )

@@ -38,7 +38,9 @@ from .errors import (
     VanetPosError,
 )
 from .fit import filter_near_field, fit_poly4
-from .geometry import GlobalPosition, LocalPoint, _check_latitudes, to_global
+from .geometry import (
+    EARTH_RADIUS_M, GlobalPosition, LocalPoint, _check_latitudes, to_global
+)
 from .positioning import (
     Beacon,
     CalibratedPoly,
@@ -106,6 +108,16 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check_ranges(self)
         _check_latitudes(self.origin)  # the local frame's own rule
+        # farther along x than half a turn of longitude, the frame's
+        # antimeridian wrap would move a point to the other side
+        lat = self.origin.latitude_deg
+        half_turn_m = math.pi * EARTH_RADIUS_M * math.cos(math.radians(lat))
+        if max(abs(self.layout.start_m), abs(self.layout.end_m)) > half_turn_m:
+            raise ValueError(
+                f"layout [{self.layout.start_m}, {self.layout.end_m}] m reaches "
+                f"past half a turn of longitude, {half_turn_m:.1f} m from the "
+                f"origin at latitude {lat}"
+            )
         for lo, hi in self.gps_outages:
             if lo > hi:
                 raise ValueError(f"outage [{lo}, {hi}] starts after it ends")
@@ -122,7 +134,7 @@ class _RsuEntry:
 
     id: str
     x_m: float = ranged(MISSING, *COORD_M)
-    channel: int
+    channel: int = ranged(MISSING, ch.WIFI_CHANNEL_MIN, ch.WIFI_CHANNEL_MAX)
     y_m: float = ranged(0.0, *COORD_M)
     z_m: float = ranged(1.10, *COORD_M)
     tx_ref_rss_dbm: float = ranged(-40.0, *LEVEL_DBM)

@@ -13,13 +13,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    EmptyInput,
-    InsufficientAnchors,
-    NoConvergence,
-    PolarRegion,
-)
+from .errors import InsufficientAnchors, NoConvergence, VanetPosError
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -80,7 +74,7 @@ class AnchorRange:
 def _check_latitudes(*positions: GlobalPosition) -> None:
     for p in positions:
         if abs(p.latitude_deg) >= _MAX_LAT_DEG:
-            raise PolarRegion(
+            raise VanetPosError(
                 f"latitude {p.latitude_deg} too close to a pole for the "
                 f"flat-earth frame (|lat| must be < {_MAX_LAT_DEG})"
             )
@@ -91,11 +85,15 @@ def to_local(g: GlobalPosition, origin: GlobalPosition) -> LocalPoint:
 
     x grows with longitude (scaled by cos of the origin latitude), y with
     latitude, z with altitude. Exact inverse of :func:`to_global` for the
-    same origin.
+    same origin. A longitude difference beyond half a turn is wrapped into
+    [-180, 180] degrees, so a track across the antimeridian stays whole.
     """
     _check_latitudes(g, origin)
     dlat = math.radians(g.latitude_deg - origin.latitude_deg)
-    dlon = math.radians(g.longitude_deg - origin.longitude_deg)
+    dlon_deg = g.longitude_deg - origin.longitude_deg
+    if abs(dlon_deg) > 180.0:
+        dlon_deg = math.remainder(dlon_deg, 360.0)
+    dlon = math.radians(dlon_deg)
     x = EARTH_RADIUS_M * dlon * math.cos(math.radians(origin.latitude_deg))
     y = EARTH_RADIUS_M * dlat
     z = g.altitude_m - origin.altitude_m
@@ -103,15 +101,18 @@ def to_local(g: GlobalPosition, origin: GlobalPosition) -> LocalPoint:
 
 
 def to_global(p: LocalPoint, origin: GlobalPosition) -> GlobalPosition:
-    """Inverse of :func:`to_local` on the same origin."""
+    """Inverse of :func:`to_local` on the same origin; a longitude past
+    ±180 degrees is wrapped back into range."""
     _check_latitudes(origin)
     lat = origin.latitude_deg + math.degrees(p.y_m / EARTH_RADIUS_M)
     lon = origin.longitude_deg + math.degrees(
         p.x_m / (EARTH_RADIUS_M * math.cos(math.radians(origin.latitude_deg)))
     )
     alt = origin.altitude_m + p.z_m
+    if abs(lon) > 180.0:
+        lon = math.remainder(lon, 360.0)
     if abs(lat) >= _MAX_LAT_DEG:
-        raise PolarRegion(
+        raise VanetPosError(
             f"resulting latitude {lat} too close to a pole for the flat-earth frame"
         )
     return GlobalPosition(lat, lon, alt)
@@ -268,7 +269,7 @@ def multilaterate(
     mx, my = mx / n, my / n
     offsets = [(ax - mx, ay - my) for ax, ay, _, _ in pts]
     if all(math.sqrt(cx * cx + cy * cy) <= _GEOM_TOL for cx, cy in offsets):
-        raise DegenerateGeometry("anchors coincident in the 2D solve plane")
+        raise VanetPosError("anchors coincident in the 2D solve plane")
 
     z = hint.z_m if hint is not None else 0.0
     d = _line_direction(offsets)
@@ -303,7 +304,7 @@ def fuse_fixes(points: Iterable[LocalPoint]) -> LocalPoint:
     """Component-wise mean of several position fixes."""
     pts = list(points)
     if not pts:
-        raise EmptyInput("fuse_fixes needs at least one point")
+        raise VanetPosError("fuse_fixes needs at least one point")
     x, y, z = pts[0].x_m, pts[0].y_m, pts[0].z_m
     for p in pts[1:]:
         x, y, z = x + p.x_m, y + p.y_m, z + p.z_m

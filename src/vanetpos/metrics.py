@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, TooFewSamples, ZeroTotalVariance, ZeroVariance
+from .errors import TooFewSamples, VanetPosError
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def _paired_arrays(actual: Sequence[float], predicted: Sequence[float]):
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape or a.ndim != 1:
-        raise LengthMismatch(
+        raise VanetPosError(
             f"actual and predicted must be equal-length 1-D series, "
             f"got {a.shape} vs {p.shape}"
         )
@@ -69,7 +69,7 @@ def regression_metrics(
     variance = float(np.add.reduce((errors - np.add.reduce(errors) / n) ** 2)) / (n - 1)
     x = np.array((a - np.add.reduce(a) / n, p - np.add.reduce(p) / n))
     if not (np.add.reduce(x * x, axis=1) / n).all():  # np.std(a) or np.std(p) is 0
-        raise ZeroVariance("correlation undefined for a constant series")
+        raise VanetPosError("correlation undefined for a constant series")
     cov = np.dot(x, x.T.conj()) * (1 / (n - 1))  # np.cov's own product and scale
     corr = cov[0, 1] / math.sqrt(cov[0, 0]) / math.sqrt(cov[1, 1])
     return MetricsReport(
@@ -97,7 +97,7 @@ def goodness_of_fit(
     sse = float(np.sum((a - p) ** 2))
     sst = float(np.sum((a - a.mean()) ** 2))
     if sst == 0.0:
-        raise ZeroTotalVariance("R-squared undefined for a constant response")
+        raise VanetPosError("R-squared undefined for a constant response")
     return fit_report_from_summary(sse, 1.0 - sse / sst, n, k)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import SurveyDataset
 from .domain import check_ranges, ranged
-from .errors import DimensionMismatch, EmptyBatch, TooFewSamples, VanetPosError
+from .errors import TooFewSamples, VanetPosError
 from .metrics import MetricsReport, regression_metrics
 
 _VAL_FRACTION = 0.15
@@ -240,7 +240,7 @@ def forward_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """Estimate position (meters) from each row of `inputs` (dBm per RSU)."""
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
-        raise DimensionMismatch(
+        raise VanetPosError(
             f"expected (n, {model.n_inputs}) inputs, got shape {x.shape}"
         )
     xn = _normalize(x, model.in_min, model.in_max)
@@ -265,9 +265,9 @@ def gradients(
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2 or len(x) == 0:
-        raise EmptyBatch("gradients needs a nonempty (n, n_inputs) batch")
+        raise VanetPosError("gradients needs a nonempty (n, n_inputs) batch")
     if x.shape[1] != model.n_inputs or len(y) != len(x):
-        raise DimensionMismatch(
+        raise VanetPosError(
             f"batch shape {x.shape} vs targets {y.shape} does not match "
             f"a {model.n_inputs}-input model"
         )

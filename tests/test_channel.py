@@ -23,7 +23,7 @@ from vanetpos.channel import (
     write_survey_csv,
 )
 from vanetpos.cli import main
-from vanetpos.errors import BelowReferenceDistance, ChannelOutOfRange, OutOfRange
+from vanetpos.errors import OutOfRange, VanetPosError
 from vanetpos.geometry import LocalPoint
 from vanetpos.nn import dataset_from_columns, dataset_from_survey
 
@@ -80,7 +80,9 @@ class TestExpectedRss:
         assert expected_rss(ChannelModel(), 500.0) == -95.0
 
     def test_below_reference_rejected(self):
-        with pytest.raises(BelowReferenceDistance):
+        with pytest.raises(
+            VanetPosError, match=r"^distance 0\.5 m closer than reference 1\.0 m$"
+        ):
             expected_rss(ChannelModel(), 0.5)
 
     def test_strictly_decreasing_until_floor(self):
@@ -109,9 +111,9 @@ class TestChannelsOverlap:
         assert channels_overlap(1, 5) is True
 
     def test_out_of_range(self):
-        with pytest.raises(ChannelOutOfRange):
+        with pytest.raises(VanetPosError, match=r"^channel 0 outside \[1, 13\]$"):
             channels_overlap(0, 6)
-        with pytest.raises(ChannelOutOfRange):
+        with pytest.raises(VanetPosError, match=r"^channel 14 outside \[1, 13\]$"):
             channels_overlap(6, 14)
 
 
@@ -289,7 +291,9 @@ class TestSurveyGrid:
         # the x = 30 row passes 0.5 m from r1
         rsus = [Rsu("r1", LocalPoint(30.5, 7.0, 1.1), 3)]
         layout = SurveyLayout(rsus, start_m=0.0, end_m=60.0, step_m=2.0)
-        with pytest.raises(BelowReferenceDistance):
+        with pytest.raises(
+            VanetPosError, match=r"^RSU r1 at x=30\.0: distance 0\.5 m closer"
+        ):
             generate_survey(layout, self.MODEL, 0)
 
     def test_first_row_below_reference_distance_named(self):
@@ -301,7 +305,7 @@ class TestSurveyGrid:
         ]
         layout = SurveyLayout(rsus, start_m=0.0, end_m=120.0, step_m=2.0)
         with pytest.raises(
-            BelowReferenceDistance, match=r"^RSU r1 at x=30\.0: distance 0\.5 m closer"
+            VanetPosError, match=r"^RSU r1 at x=30\.0: distance 0\.5 m closer"
         ):
             generate_survey(layout, self.MODEL, 0)
 
@@ -376,7 +380,7 @@ class TestSurveyCsv:
 
 class TestValidation:
     def test_rsu_channel_validated(self):
-        with pytest.raises(ChannelOutOfRange):
+        with pytest.raises(OutOfRange, match=r"^channel must be in \[1, 13\], got 14$"):
             Rsu(id="x", position=LocalPoint(0, 0, 0), channel=14)
 
     def test_layout_step_positive(self):

@@ -154,6 +154,11 @@ class TestSurveyCommand:
             (("layout", "rsus", 0), "id", "", "RSU id ''"),
             (("layout", "rsus", 0), "id", "ap\n0", "RSU id 'ap\\n0'"),
             (("layout", "rsus", 0), "id", "ap\r0", "RSU id 'ap\\r0'"),
+            # the domain rule, as for every other ranged number
+            (("layout", "rsus", 1), "channel", 14,
+             "config error: layout.rsus[1].channel must be in [1, 13], got 14"),
+            (("layout", "rsus", 0), "channel", 0,
+             "config error: layout.rsus[0].channel must be in [1, 13], got 0"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
@@ -165,7 +170,7 @@ class TestSurveyCommand:
             "negative-seed", "negative-train-seed", "negative-cutoff",
             "polar-origin", "negative-policy-near-field", "negative-rsu-spacing",
             "comma-rsu-id", "semicolon-rsu-id", "empty-rsu-id", "newline-rsu-id",
-            "carriage-return-rsu-id",
+            "carriage-return-rsu-id", "channel-14", "channel-0",
         ],
     )
     def test_malformed_value_exit_2_one_line(
@@ -1061,6 +1066,40 @@ class TestDriveCommand:
         assert code == 2
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: at x=0.0:"), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("latitude", [0.0, 60.0])
+    def test_drive_across_the_antimeridian_matches_the_shipped_trace(
+        self, latitude, tmp_path, capsys
+    ):
+        # from 179.999 degrees east the track crosses 180 after 111 m at the
+        # equator and after 56 m at 60 degrees; the local frame is the same
+        cfg = json.loads((CONFIGS / "drive.json").read_text())
+        cfg["scenario"]["origin"].update(latitude_deg=latitude, longitude_deg=179.999)
+        path = tmp_path / "antimeridian.json"
+        path.write_text(json.dumps(cfg))
+        shipped, crossing = tmp_path / "shipped.csv", tmp_path / "crossing.csv"
+        run(["drive", "--config", CONFIGS / "drive.json", "--out", shipped], capsys)
+        code, _, err = run(["drive", "--config", path, "--out", crossing], capsys)
+        assert (code, err) == (0, "")
+        assert crossing.read_bytes() == shipped.read_bytes()
+
+    def test_layout_past_half_a_turn_of_longitude_exit_2_no_file(
+        self, tmp_path, capsys
+    ):
+        # half a turn of longitude is 384 km at 88.9 degrees: the wrap would
+        # carry the DGPS rows beyond it to the far side of the origin
+        cfg = json.loads((CONFIGS / "drive.json").read_text())
+        cfg["scenario"]["origin"]["latitude_deg"] = 88.9
+        cfg["layout"].update(end_m=500_000.0, step_m=5_000.0)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(["drive", "--config", path, "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+        assert "past half a turn of longitude" in lines[0]
         assert not out.exists()
 
     @staticmethod

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetpos import geometry
-from vanetpos.errors import (
-    DegenerateGeometry,
-    EmptyInput,
-    InsufficientAnchors,
-    NoConvergence,
-    PolarRegion,
-)
+from vanetpos.errors import InsufficientAnchors, NoConvergence, VanetPosError
 from vanetpos.geometry import (
     EARTH_RADIUS_M,
     AnchorRange,
@@ -96,7 +90,7 @@ def reference_gauss_newton(start, anchors, rng_m, max_iters=100):
         else:
             stagnant = 0
         prev_obj = obj
-    raise NoConvergence(f"no convergence in {max_iters} iterations")
+    raise NoConvergence(f"multilateration did not converge in {max_iters} iterations")
 
 
 def gauss_newton_xyz(start, anchors, rng_m):
@@ -128,7 +122,7 @@ def reference_multilaterate(ranges, hint=None):
     rng_m = np.array([r.range_m for r in ranges], dtype=float)
     base = anchors[:, :2].mean(axis=0)
     if np.all(np.linalg.norm(anchors[:, :2] - base, axis=1) <= 1e-9):
-        raise DegenerateGeometry("anchors coincident in the 2D solve plane")
+        raise VanetPosError("anchors coincident in the 2D solve plane")
     _, s, vt = np.linalg.svd(anchors[:, :2] - base)
     d = None
     if len(anchors) == 2 or s[1] <= 1e-9 * max(s[0], 1.0):
@@ -216,11 +210,12 @@ class TestLocalFrame:
 
     def test_polar_region_rejected(self):
         origin = GlobalPosition(0.0, 0.0, 0.0)
-        with pytest.raises(PolarRegion):
+        polar = r"^latitude {} too close to a pole for the flat-earth frame \("
+        with pytest.raises(VanetPosError, match=polar.format(r"89\.5")):
             to_local(GlobalPosition(89.5, 0.0, 0.0), origin)
-        with pytest.raises(PolarRegion):
+        with pytest.raises(VanetPosError, match=polar.format(r"-89\.2")):
             to_local(GlobalPosition(0.0, 0.0, 0.0), GlobalPosition(-89.2, 0.0, 0.0))
-        with pytest.raises(PolarRegion):
+        with pytest.raises(VanetPosError, match=polar.format(r"89\.5")):
             to_global(LocalPoint(0.0, 0.0, 0.0), GlobalPosition(89.5, 0.0, 0.0))
 
     def test_latitude_bounds_validated(self):
@@ -228,6 +223,17 @@ class TestLocalFrame:
             GlobalPosition(91.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             GlobalPosition(0.0, 181.0, 0.0)
+
+    @pytest.mark.parametrize("x_m, lon", [(300.0, 179.999), (-300.0, -179.999)])
+    def test_antimeridian_crossing_wraps_the_longitude(self, x_m, lon):
+        # 300 m is 0.0054 degrees of longitude at 60 degrees: past 180
+        origin = GlobalPosition(60.0, lon, 600.0)
+        g = to_global(LocalPoint(x_m, 7.0, 1.1), origin)
+        assert 179.99 < abs(g.longitude_deg) < 180.0
+        assert (g.longitude_deg < 0) != (lon < 0)  # across the antimeridian
+        back = to_local(g, origin)
+        assert back.x_m == pytest.approx(x_m, abs=1e-6)
+        assert back.y_m == pytest.approx(7.0, abs=1e-9)
 
 
 class TestMultilaterate:
@@ -312,7 +318,9 @@ class TestMultilaterate:
             AnchorRange(LocalPoint(1, 1, 0), 5.0),
             AnchorRange(LocalPoint(1, 1, 0), 6.0),
         ]
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(
+            VanetPosError, match="^anchors coincident in the 2D solve plane$"
+        ):
             multilaterate(ranges)
 
     def test_collinear_three_anchor_case_against_brute_force(self):
@@ -362,8 +370,8 @@ class TestMultilaterate:
 def _outcome(ranges, hint, solver):
     try:
         p = solver(ranges, hint)
-    except (DegenerateGeometry, NoConvergence) as e:
-        return type(e).__name__
+    except VanetPosError as e:  # a degenerate layout is no NoConvergence
+        return f"{type(e).__name__}: {e}"
     return (float(p.x_m), float(p.y_m), float(p.z_m))
 
 
@@ -690,5 +698,5 @@ class TestFuseFixes:
         assert fuse_fixes([p, p, p]) == p
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(VanetPosError, match="^fuse_fixes needs at least one point$"):
             fuse_fixes([])

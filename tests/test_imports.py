@@ -95,6 +95,65 @@ def test_unread_private_name_is_found():
     assert unread_private_names(sources) == [("a", "_DEAD"), ("a", "_Unused")]
 
 
+def untold_error_classes(errors_source, sources):
+    """Classes of `errors_source` that no source of `sources` names in an
+    `except` clause, an `isinstance` call or the `_EXIT_3` tuple, sorted."""
+    defined = {
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    told = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = node.type
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                named = node.args[1]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXIT_3" for t in node.targets
+            ):
+                named = node.value
+            else:
+                continue
+            for n in ast.walk(named):
+                if isinstance(n, ast.Name):
+                    told.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    told.add(n.attr)
+    return sorted(defined - told)
+
+
+def test_every_error_class_is_told_apart():
+    # a class that no code tells apart exits as a plain VanetPosError does
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    assert untold_error_classes((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def test_untold_error_class_is_found():
+    errors = (
+        "class Base(ValueError): pass\n"
+        "class Caught(Base): pass\n"
+        "class Exit3(Base): pass\n"
+        "class Checked(Base): pass\n"
+        "class Raised(Base): pass\n"
+    )
+    program = (
+        "_EXIT_3 = (Exit3,)\n"
+        "def f(e):\n"
+        "    try:\n"
+        "        raise Raised('only raised')\n"
+        "    except (errors.Caught, Base):\n"
+        "        return isinstance(e, Checked)\n"
+    )
+    assert untold_error_classes(errors, [program]) == ["Raised"]
+
+
 def test_console_script_runs_cli_main():
     # the tests import the package from src, so no installed script runs them
     with open(ROOT / "pyproject.toml", "rb") as f:

@@ -8,7 +8,7 @@ import pytest
 
 from vanetpos import nn
 from vanetpos.channel import ChannelModel, SurveyLayout, generate_survey
-from vanetpos.errors import DimensionMismatch, EmptyBatch, TooFewSamples
+from vanetpos.errors import TooFewSamples, VanetPosError
 from vanetpos.metrics import regression_metrics
 from vanetpos.nn import (
     EpochRecord,
@@ -243,7 +243,9 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         m = init_mlp(3, 4, seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(
+            VanetPosError, match=r"^expected \(n, 3\) inputs, got shape \(1, 2\)$"
+        ):
             forward_batch(m, [[-60.0, -70.0]])
 
     @staticmethod
@@ -320,7 +322,9 @@ class TestGradients:
 
     def test_empty_batch(self):
         m = init_mlp(2, 3, seed=0)
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(
+            VanetPosError, match=r"^gradients needs a nonempty \(n, n_inputs\) batch$"
+        ):
             gradients(m, np.empty((0, 2)), np.empty(0))
 
 
