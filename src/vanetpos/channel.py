@@ -10,6 +10,7 @@ draw: a drive's calibration and the beacons it hears are both surveys.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -32,22 +33,31 @@ _CSV_BLOCK_CELLS = 4096  # survey cells formatted per write of the CSV
 
 @dataclass(frozen=True)
 class Rsu:
-    """A roadside unit: fixed access point broadcasting position beacons."""
+    """A roadside unit: fixed access point broadcasting position beacons.
+
+    The fields are the keys of a config's RSU entry.
+    """
 
     id: str
-    position: LocalPoint
+    x_m: float = ranged(MISSING, *COORD_M)
     # `positioning` indexes its channel blocks by this number
     channel: int = ranged(MISSING, WIFI_CHANNEL_MIN, WIFI_CHANNEL_MAX)
-    tx_ref_rss_dbm: float = -40.0
+    y_m: float = ranged(0.0, *COORD_M)
+    z_m: float = ranged(1.10, *COORD_M)
+    tx_ref_rss_dbm: float = ranged(-40.0, *LEVEL_DBM)
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         # the id is a field of the survey CSV and of a trace's used_rsus list
         if not self.id or any(c in self.id for c in ",;\n\r"):
             raise ValueError(
                 f"RSU id {self.id!r} must be non-empty, without ',', ';' or a "
                 "line break"
             )
-        check_ranges(self)
+
+    @functools.cached_property
+    def position(self) -> LocalPoint:
+        return LocalPoint(self.x_m, self.y_m, self.z_m)
 
 
 @dataclass(frozen=True)

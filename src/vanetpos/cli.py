@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import channel as ch
 from . import nn
-from .domain import COORD_M, LENGTH_M, LEVEL_DBM, SEED, check_ranges, ranged
+from .domain import COORD_M, LENGTH_M, SEED, check_ranges, ranged
 from .errors import (
     ConfigError,
     InsufficientAnchors,
@@ -50,7 +51,6 @@ from .positioning import (
     PositionFix,
     SelectionPolicy,
     locate,
-    validate_deployment,
 )
 
 SWEEP_CSV_HEADER = (
@@ -65,6 +65,7 @@ _EXIT_3 = (
     TooFewSamples, RankDeficient, InsufficientAnchors, NoCoverage, NoConvergence
 )
 HIDDEN = (1, 100)  # neurons: `estimator.hidden` and each size of `sweep --hidden`
+MIN_RSU_SPACING_M = 100.0  # the least distance between any two RSUs of a layout
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check_ranges(self)
         _check_latitudes(self.origin)  # the local frame's own rule
+        altitude = self.origin.altitude_m  # `to_global` adds a point's z_m to it
+        if not COORD_M[0] <= altitude <= COORD_M[1]:
+            raise OutOfRange(
+                f"origin.altitude_m must be in {list(COORD_M)}, got {altitude!r}"
+            )
         # farther along x than half a turn of longitude, the frame's
         # antimeridian wrap would move a point to the other side
         lat = self.origin.latitude_deg
@@ -126,25 +132,18 @@ class ScenarioConfig:
                     f"outage [{lo}, {hi}] outside survey range "
                     f"[{self.layout.start_m}, {self.layout.end_m}]"
                 )
-
-
-@dataclass(frozen=True)
-class _RsuEntry:
-    """How the config writes an RSU: its position as flat keys."""
-
-    id: str
-    x_m: float = ranged(MISSING, *COORD_M)
-    channel: int = ranged(MISSING, ch.WIFI_CHANNEL_MIN, ch.WIFI_CHANNEL_MAX)
-    y_m: float = ranged(0.0, *COORD_M)
-    z_m: float = ranged(1.10, *COORD_M)
-    tx_ref_rss_dbm: float = ranged(-40.0, *LEVEL_DBM)
-
-    def __post_init__(self) -> None:
-        check_ranges(self)
-
-    def rsu(self) -> ch.Rsu:
-        position = LocalPoint(self.x_m, self.y_m, self.z_m)
-        return ch.Rsu(self.id, position, self.channel, self.tx_ref_rss_dbm)
+        seen = set()
+        for rsu in self.layout.rsus:
+            if rsu.id in seen:
+                raise ValueError(f"duplicate RSU id {rsu.id!r}")
+            seen.add(rsu.id)
+        for a, b in itertools.combinations(self.layout.rsus, 2):
+            d = math.dist((a.x_m, a.y_m, a.z_m), (b.x_m, b.y_m, b.z_m))
+            if d < MIN_RSU_SPACING_M:
+                raise ValueError(
+                    f"RSUs {a.id} and {b.id} are {d:.1f} m apart; policy requires "
+                    f">= {MIN_RSU_SPACING_M} m"
+                )
 
 
 # the JSON types each scalar annotation accepts; bool is never a number
@@ -196,10 +195,9 @@ def _value(kind, value, where: str, default=MISSING):
     """Check one config value against the annotation `kind` and convert it.
 
     A scalar must be exactly its JSON type (a float field also takes an
-    int, stored as a float) and a float must be finite. An RSU is built
-    from its flat entry, any other dataclass from a nested object (absent
-    keys keep the values of the field's default, if it has one), and a list
-    or tuple from a JSON list.
+    int, stored as a float) and a float must be finite. A dataclass is built
+    from a nested object (absent keys keep the values of the field's
+    default, if it has one), and a list or tuple from a JSON list.
     """
     if kind in _JSON_TYPES:
         if type(value) not in _JSON_TYPES[kind]:
@@ -211,8 +209,6 @@ def _value(kind, value, where: str, default=MISSING):
         if kind is float and not math.isfinite(converted):
             raise ConfigError(f"{where} must be finite, got {value!r}")
         return converted
-    if kind is ch.Rsu:
-        return _build(_RsuEntry, value, where).rsu()
     if is_dataclass(kind):
         return _build(kind, value, where, None if default is MISSING else default)
     if not isinstance(value, list):
@@ -231,9 +227,9 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario config JSON; unknown keys are errors.
 
     Every section goes through `_build`. Every malformed value, down to the
-    dataclass validators and the deployment rules of
-    `positioning.validate_deployment`, raises ConfigError; a path that
-    cannot be read raises its OSError, as any other unread path does.
+    dataclass validators and the deployment rules of `ScenarioConfig`,
+    raises ConfigError; a path that cannot be read raises its OSError, as
+    any other unread path does.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -241,7 +237,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     try:
         config = _parse_scenario(raw)
-        validate_deployment(config.layout.rsus, config.policy)
     except ConfigError:
         raise
     except (ValueError, TypeError) as e:

@@ -11,7 +11,6 @@ range-and-multilaterate chain with a direct street-position readout.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -42,10 +41,9 @@ class FixSource(Enum):
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """RSU selection and deployment rules."""
+    """RSU selection rules."""
 
     min_rsu_count: int = ranged(2, 2, 100)
-    min_rsu_spacing_m: float = ranged(100.0, *LENGTH_M)
     near_field_m: float = ranged(60.0, *LENGTH_M)
 
     def __post_init__(self) -> None:
@@ -107,23 +105,6 @@ class PositionFix:
     def __post_init__(self) -> None:
         if self.source is FixSource.RSS and not self.used_rsu_ids:
             raise ValueError("RSS fixes must record the RSUs they used")
-
-
-def validate_deployment(rsus: Sequence[Rsu], policy: SelectionPolicy) -> None:
-    """Check the deployment rules: unique ids, minimum spacing per pair."""
-    seen = set()
-    for rsu in rsus:
-        if rsu.id in seen:
-            raise ValueError(f"duplicate RSU id {rsu.id!r}")
-        seen.add(rsu.id)
-    points = [(r.position.x_m, r.position.y_m, r.position.z_m) for r in rsus]
-    for (a, pa), (b, pb) in itertools.combinations(zip(rsus, points), 2):
-        d = math.dist(pa, pb)
-        if d < policy.min_rsu_spacing_m:
-            raise ValueError(
-                f"RSUs {a.id} and {b.id} are {d:.1f} m apart; policy requires "
-                f">= {policy.min_rsu_spacing_m} m"
-            )
 
 
 # bit o of _BLOCKS[c] is set when channel o overlaps channel c

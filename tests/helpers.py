@@ -7,7 +7,6 @@ import numpy as np
 
 from vanetpos.channel import Rsu, SurveyDataset, channels_overlap
 from vanetpos.errors import InsufficientAnchors, NoConvergence
-from vanetpos.geometry import LocalPoint
 from vanetpos.positioning import Beacon, SelectionPolicy
 
 
@@ -21,8 +20,9 @@ def standard_rsu_row(
     return [
         Rsu(
             id=f"ap{int(round(x))}",
-            position=LocalPoint(float(x), 0.0, antenna_z_m),
+            x_m=float(x),
             channel=int(ch),
+            z_m=antenna_z_m,
             tx_ref_rss_dbm=tx_ref_rss_dbm,
         )
         for x, ch in zip(positions_m, channels, strict=True)

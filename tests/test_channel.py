@@ -24,7 +24,6 @@ from vanetpos.channel import (
 )
 from vanetpos.cli import main
 from vanetpos.errors import OutOfRange, VanetPosError
-from vanetpos.geometry import LocalPoint
 from vanetpos.nn import dataset_from_columns, dataset_from_survey
 
 from helpers import column, standard_rsu_row
@@ -257,10 +256,10 @@ class TestSurveyGrid:
         rss_floor_dbm=-110.0,
     )
     RSUS = [
-        Rsu("r3", LocalPoint(0.0, 0.0, 1.1), 1, tx_ref_rss_dbm=-40.0),
-        Rsu("r1", LocalPoint(30.0, -4.5, 2.0), 3, tx_ref_rss_dbm=-35.0),
-        Rsu("r2", LocalPoint(90.0, 3.0, 0.5), 13, tx_ref_rss_dbm=-38.0),
-        Rsu("r0", LocalPoint(160.0, 1.0, 6.0), 5, tx_ref_rss_dbm=-42.0),
+        Rsu("r3", 0.0, 1, 0.0, 1.1, tx_ref_rss_dbm=-40.0),
+        Rsu("r1", 30.0, 3, -4.5, 2.0, tx_ref_rss_dbm=-35.0),
+        Rsu("r2", 90.0, 13, 3.0, 0.5, tx_ref_rss_dbm=-38.0),
+        Rsu("r0", 160.0, 5, 1.0, 6.0, tx_ref_rss_dbm=-42.0),
     ]
 
     def test_bit_identical_to_per_cell_draws(self):
@@ -289,19 +288,33 @@ class TestSurveyGrid:
 
     def test_below_reference_distance_rejected(self):
         # the x = 30 row passes 0.5 m from r1
-        rsus = [Rsu("r1", LocalPoint(30.5, 7.0, 1.1), 3)]
+        rsus = [Rsu("r1", 30.5, 3, 7.0, 1.1)]
         layout = SurveyLayout(rsus, start_m=0.0, end_m=60.0, step_m=2.0)
         with pytest.raises(
             VanetPosError, match=r"^RSU r1 at x=30\.0: distance 0\.5 m closer"
         ):
             generate_survey(layout, self.MODEL, 0)
 
+    def test_cell_at_the_reference_distance_drawn_one_ulp_closer_refused(self):
+        # the RSU stands at the lane's x and height, ref_distance_m from it
+        model = ChannelModel(ref_distance_m=1.0, far_sigma_db=0.0, near_sigma_db=0.0)
+        rsus = [Rsu("r1", 50.0, 3, 0.0, 1.1)]
+        at_ref = SurveyLayout(
+            rsus, start_m=50.0, end_m=50.0, lane_y_m=1.0, antenna_z_m=1.1
+        )
+        survey = generate_survey(at_ref, model, 0)
+        assert survey.distance_m.tolist() == [[1.0]]
+        assert survey.rss_dbm.tolist() == [[-40.0]]
+        closer = replace(at_ref, lane_y_m=math.nextafter(1.0, 0.0))
+        with pytest.raises(VanetPosError, match=r"^RSU r1 at x=50\.0: distance 0\.99"):
+            generate_survey(closer, model, 0)
+
     def test_first_row_below_reference_distance_named(self):
         # the x = 30 row is 0.5 m from r1; the later x = 90 row comes
         # closer, 0.25 m from r2
         rsus = [
-            Rsu("r2", LocalPoint(90.25, 7.0, 1.1), 13),
-            Rsu("r1", LocalPoint(30.5, 7.0, 1.1), 3),
+            Rsu("r2", 90.25, 13, 7.0, 1.1),
+            Rsu("r1", 30.5, 3, 7.0, 1.1),
         ]
         layout = SurveyLayout(rsus, start_m=0.0, end_m=120.0, step_m=2.0)
         with pytest.raises(
@@ -381,7 +394,7 @@ class TestSurveyCsv:
 class TestValidation:
     def test_rsu_channel_validated(self):
         with pytest.raises(OutOfRange, match=r"^channel must be in \[1, 13\], got 14$"):
-            Rsu(id="x", position=LocalPoint(0, 0, 0), channel=14)
+            Rsu(id="x", x_m=0, channel=14, z_m=0)
 
     def test_layout_step_positive(self):
         with pytest.raises(ValueError):

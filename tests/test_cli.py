@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from vanetpos import channel, cli, fit, nn, positioning
 from vanetpos.cli import load_scenario, main
-from vanetpos.errors import VanetPosError
+from vanetpos.errors import ConfigError, VanetPosError
 from vanetpos.positioning import FixSource
 
 from helpers import reference_select_rsus
@@ -127,8 +128,9 @@ class TestSurveyCommand:
             ((), "estimator", [], "estimator"),
             (("layout",), "rsus", {"id": "ap0", "x_m": 0.0, "channel": 1},
              "layout.rsus must be a list"),
-            (("layout", "rsus", 1), "id", "ap0", "ap0"),
-            (("layout", "rsus", 1), "x_m", 20.0, "20.0 m apart"),
+            (("layout", "rsus", 1), "id", "ap0", "duplicate RSU id 'ap0'"),
+            (("layout", "rsus", 1), "x_m", 20.0,
+             "RSUs ap0 and ap150 are 20.0 m apart; policy requires >= 100.0 m"),
             (("estimator",), "hidden", 0, "hidden"),
             (("estimator",), "patience", 0, "patience"),
             (("estimator",), "hidden", 2.7, "hidden"),
@@ -147,7 +149,11 @@ class TestSurveyCommand:
             (("estimator",), "cutoff_m", -5, "estimator.cutoff_m"),
             (("scenario", "origin"), "latitude_deg", 89.5, "latitude"),
             (("scenario", "policy"), "near_field_m", -5, "near_field_m"),
-            (("scenario", "policy"), "min_rsu_spacing_m", -1, "min_rsu_spacing_m"),
+            # the spacing rule is fixed at 100 m: a config that still sets it
+            # is stale
+            (("scenario", "policy"), "min_rsu_spacing_m", 100.0,
+             "config error: unknown key(s) in scenario.policy: "
+             "['min_rsu_spacing_m']"),
             # an id is a survey CSV field and an entry of a trace's used_rsus
             (("layout", "rsus", 0), "id", "ap,0", "RSU id 'ap,0'"),
             (("layout", "rsus", 0), "id", "ap;0", "RSU id 'ap;0'"),
@@ -168,7 +174,7 @@ class TestSurveyCommand:
             "removed-beacon-interval", "removed-channel-rule-true",
             "removed-channel-rule-false", "nan-sigma", "huge-int-sigma",
             "negative-seed", "negative-train-seed", "negative-cutoff",
-            "polar-origin", "negative-policy-near-field", "negative-rsu-spacing",
+            "polar-origin", "negative-policy-near-field", "removed-rsu-spacing",
             "comma-rsu-id", "semicolon-rsu-id", "empty-rsu-id", "newline-rsu-id",
             "carriage-return-rsu-id", "channel-14", "channel-0",
         ],
@@ -436,9 +442,14 @@ def _two_interferers(cfg):
          "config error: ", "layout.rsus[1].y_m must be in [-1000000.0, 1000000.0]"),
         (lambda c: c["layout"].update(start_m=-1e308, end_m=1e308, step_m=1e307),
          "config error: ", "layout.start_m must be in [-1000000.0, 1000000.0]"),
+        # the drive exited 0: the DGPS truth's round trip through to_global
+        # lost the antenna height, and RSS rows 16-29 of the trace moved
+        (lambda c: c["scenario"]["origin"].update(altitude_m=1e17),
+         "config error: ", "scenario.origin.altitude_m must be in "
+         "[-1000000.0, 1000000.0], got 1e+17"),
     ],
     ids=["far-sigma", "near-sigma", "interference-sigma", "two-interferers",
-         "lane", "rsu-offset", "span"],
+         "lane", "rsu-offset", "span", "altitude"],
 )
 def test_overflowing_config_exit_2_one_line_no_file(
     edit, prefix, names, estimator, tmp_path, capsys
@@ -459,6 +470,19 @@ def test_overflowing_config_exit_2_one_line_no_file(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix) and names in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("altitude_m", [-1e6, 1e6])
+def test_origin_altitude_range_ends_load_one_step_outside_refused(altitude_m, tmp_path):
+    cfg = json.loads((CONFIGS / "drive.json").read_text())
+    path = tmp_path / "altitude.json"
+    cfg["scenario"]["origin"]["altitude_m"] = altitude_m
+    path.write_text(json.dumps(cfg))
+    assert load_scenario(str(path)).origin.altitude_m == altitude_m
+    cfg["scenario"]["origin"]["altitude_m"] = math.nextafter(altitude_m, 2 * altitude_m)
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=r"^scenario\.origin\.altitude_m must be in "):
+        load_scenario(str(path))
 
 
 def _numeric_keys(node, path=()):

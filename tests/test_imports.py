@@ -34,7 +34,9 @@ def unused_imports(source: str):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -29,7 +29,6 @@ from vanetpos.positioning import (
     locate,
     rss_to_range,
     select_rsus,
-    validate_deployment,
 )
 
 from helpers import column, reference_select_rsus, standard_rsu_row
@@ -39,7 +38,7 @@ ORIGIN = GlobalPosition(26.35, 43.97, 600.0)
 
 def beacon(rsu_id, x, channel, rss):
     return Beacon(
-        rsu=Rsu(id=rsu_id, position=LocalPoint(x, 0.0, 1.10), channel=channel),
+        rsu=Rsu(id=rsu_id, x_m=x, channel=channel),
         rss_dbm=rss,
     )
 
@@ -624,22 +623,6 @@ def test_weaker_duplicate_reading_leaves_the_fix(kind, weaker_first):
     assert locate(None, doubled, est, SelectionPolicy(), ORIGIN, hint=hint) == fix
 
 
-class TestValidateDeployment:
-    def test_accepts_spaced_rsus(self):
-        rsus = standard_rsu_row([0.0, 100.0, 200.0], [1, 7, 13])
-        validate_deployment(rsus, SelectionPolicy())
-
-    def test_rejects_close_rsus(self):
-        rsus = standard_rsu_row([0.0, 50.0], [1, 7])
-        with pytest.raises(ValueError):
-            validate_deployment(rsus, SelectionPolicy())
-
-    def test_rejects_duplicate_ids(self):
-        a, b = standard_rsu_row([0.0, 100.0], [1, 7])
-        with pytest.raises(ValueError, match="duplicate RSU id 'ap0'"):
-            validate_deployment([a, replace(b, id="ap0")], SelectionPolicy())
-
-
 class TestTypes:
     def test_rss_fix_needs_rsus(self):
         with pytest.raises(ValueError):
@@ -652,7 +635,7 @@ class TestTypes:
             )
 
     def test_beacon_is_an_immutable_named_tuple(self):
-        rsu = Rsu(id="a", position=LocalPoint(0.0, 0.0, 1.10), channel=1)
+        rsu = Rsu(id="a", x_m=0.0, channel=1)
         b = Beacon(rsu, -70.0)
         assert b == Beacon(rsu=rsu, rss_dbm=-70.0)
         for field in ("rsu", "rss_dbm"):
