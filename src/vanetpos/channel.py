@@ -87,7 +87,7 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class SurveyLayout:
-    """Drive-by survey geometry: RSU row plus the parallel test line."""
+    """Drive-by survey geometry: RSU row (unique ids) plus the parallel test line."""
 
     rsus: List[Rsu]
     start_m: float = ranged(0.0, *COORD_M)
@@ -100,6 +100,11 @@ class SurveyLayout:
         check_ranges(self)
         if self.end_m < self.start_m:
             raise ValueError("end_m must be >= start_m")
+        seen = set()
+        for rsu in self.rsus:
+            if rsu.id in seen:
+                raise ValueError(f"duplicate RSU id {rsu.id!r}")
+            seen.add(rsu.id)
         n, m = self._count(), len(self.rsus)  # before positions() allocates
         if not 1 <= n * m <= MAX_CELLS:
             raise ValueError(f"{n} positions x {m} RSUs must be 1 to {MAX_CELLS} cells")

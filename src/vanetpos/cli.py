@@ -68,32 +68,22 @@ HIDDEN = (1, 100)  # neurons: `estimator.hidden` and each size of `sweep --hidde
 MIN_RSU_SPACING_M = 100.0  # the least distance between any two RSUs of a layout
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
+@dataclass(frozen=True, kw_only=True)
+class EstimatorSpec(nn.TrainConfig):
+    """The `estimator` section: the training keys are `nn.TrainConfig`'s,
+    with a longer patience and a larger step than a sweep's."""
+
     kind: str  # "poly" | "nn"
     cutoff_m: float = ranged(60.0, *LENGTH_M)
     hidden: int = ranged(8, *HIDDEN)
     train_seed: int = ranged(0, *SEED)
-    max_epochs: int = 1000
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    patience: int = 50
+    patience: int = ranged(50, *nn.EPOCHS)
+    learning_rate: float = ranged(0.05, *nn.LEARNING_RATE)
 
     def __post_init__(self) -> None:
         if self.kind not in ("poly", "nn"):
-            raise ValueError(
-                f"estimator.kind must be 'poly' or 'nn', got {self.kind!r}"
-            )
-        check_ranges(self)
-        self.train_config()  # checks the training fields
-
-    def train_config(self) -> nn.TrainConfig:
-        return nn.TrainConfig(
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-        )
+            raise ValueError(f"kind must be 'poly' or 'nn', got {self.kind!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,7 @@ class ScenarioConfig:
     channel: ch.ChannelModel
     seed: int = ranged(0, *SEED)
     gps_outages: Tuple[Tuple[float, float], ...] = ()
-    origin: GlobalPosition = GlobalPosition(0.0, 0.0, 0.0)
+    origin: GlobalPosition = GlobalPosition()
     estimator: Optional[EstimatorSpec] = None
     policy: SelectionPolicy = SelectionPolicy()
 
@@ -132,11 +122,6 @@ class ScenarioConfig:
                     f"outage [{lo}, {hi}] outside survey range "
                     f"[{self.layout.start_m}, {self.layout.end_m}]"
                 )
-        seen = set()
-        for rsu in self.layout.rsus:
-            if rsu.id in seen:
-                raise ValueError(f"duplicate RSU id {rsu.id!r}")
-            seen.add(rsu.id)
         for a, b in itertools.combinations(self.layout.rsus, 2):
             d = math.dist((a.x_m, a.y_m, a.z_m), (b.x_m, b.y_m, b.z_m))
             if d < MIN_RSU_SPACING_M:
@@ -165,39 +150,39 @@ def _check_section(section, context: str, allowed, required) -> None:
         raise ConfigError(f"{context} missing key(s): {missing}")
 
 
-def _build(cls, section, context: str, base=None, **given):
+def _build(cls, section, context: str, **given):
     """Build the dataclass `cls` from the config object `section`.
 
     Every key of `section` names a field of `cls` that `given` (fields the
     caller built from elsewhere) does not fill; fields without a default
-    are required unless `base`, an instance of `cls`, supplies the values
-    of absent keys. Values are checked against the field annotations by
-    `_value`, value ranges by the dataclass, which `where` names.
+    are required. Values are checked against the field annotations by
+    `_value`; the dataclass's own rules run last, and each error they raise
+    becomes a ConfigError named by its key path.
     """
     own = [f for f in fields(cls) if f.name not in given]
-    required = [f.name for f in own if f.default is MISSING and base is None]
+    required = [f.name for f in own if f.default is MISSING]
     _check_section(section, context, [f.name for f in own], required)
     hints = _field_types(cls)
     values = dict(given)
     for f in own:
         if f.name in section:
             where = f"{context}.{f.name}"
-            values[f.name] = _value(hints[f.name], section[f.name], where, f.default)
-        elif base is not None:
-            values[f.name] = getattr(base, f.name)
+            values[f.name] = _value(hints[f.name], section[f.name], where)
     try:
         return cls(**values)
-    except OutOfRange as e:
+    except OutOfRange as e:  # names its field
         raise ConfigError(f"{context}.{e}") from e
+    except ValueError as e:
+        raise ConfigError(f"{context}: {e}") from e
 
 
-def _value(kind, value, where: str, default=MISSING):
+def _value(kind, value, where: str):
     """Check one config value against the annotation `kind` and convert it.
 
     A scalar must be exactly its JSON type (a float field also takes an
     int, stored as a float) and a float must be finite. A dataclass is built
-    from a nested object (absent keys keep the values of the field's
-    default, if it has one), and a list or tuple from a JSON list.
+    from a nested object (absent keys take the class defaults), and a list
+    or tuple from a JSON list.
     """
     if kind in _JSON_TYPES:
         if type(value) not in _JSON_TYPES[kind]:
@@ -210,7 +195,7 @@ def _value(kind, value, where: str, default=MISSING):
             raise ConfigError(f"{where} must be finite, got {value!r}")
         return converted
     if is_dataclass(kind):
-        return _build(kind, value, where, None if default is MISSING else default)
+        return _build(kind, value, where)
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list, got {value!r}")
     container, args = get_origin(kind), get_args(kind)
@@ -226,25 +211,15 @@ def _value(kind, value, where: str, default=MISSING):
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario config JSON; unknown keys are errors.
 
-    Every section goes through `_build`. Every malformed value, down to the
-    dataclass validators and the deployment rules of `ScenarioConfig`,
-    raises ConfigError; a path that cannot be read raises its OSError, as
-    any other unread path does.
+    Every section goes through `_build`, so every malformed value, down to
+    the dataclass rules, raises a ConfigError that starts with its key path;
+    invalid JSON names the file. A path that cannot be read raises its
+    OSError, as any other unread path does.
     """
     try:
         raw = json.loads(Path(path).read_text())
     except ValueError as e:  # a JSONDecodeError, or an int past str limits
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    try:
-        config = _parse_scenario(raw)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return config
-
-
-def _parse_scenario(raw) -> ScenarioConfig:
     _check_section(
         raw, "config", ("layout", "channel", "scenario", "estimator"),
         ("layout", "channel"),
@@ -301,12 +276,8 @@ def calibrate_nn(
     survey = ch.generate_survey(layout, model, seed=seed)
     dataset = nn.dataset_from_survey(survey)
     splits = nn.split_dataset(dataset.n, spec.train_seed)
-    trained, _ = nn.train(
-        nn.init_mlp(dataset.inputs.shape[1], spec.hidden, spec.train_seed),
-        dataset,
-        splits,
-        spec.train_config(),
-    )
+    net = nn.init_mlp(dataset.inputs.shape[1], spec.hidden, spec.train_seed)
+    trained, _ = nn.train(net, dataset, splits, spec)
     pred = nn.forward_batch(trained, dataset.inputs)
     rmse = float(np.sqrt(np.mean((pred - dataset.targets) ** 2)))
     return NnPositionEstimator(

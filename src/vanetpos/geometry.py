@@ -31,8 +31,8 @@ _GEOM_TOL = 1e-9
 class GlobalPosition:
     """Geographic position: latitude/longitude in degrees, altitude in meters."""
 
-    latitude_deg: float
-    longitude_deg: float
+    latitude_deg: float = 0.0
+    longitude_deg: float = 0.0
     altitude_m: float = 0.0
 
     def __post_init__(self) -> None:

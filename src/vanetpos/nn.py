@@ -32,6 +32,8 @@ from .metrics import MetricsReport, regression_metrics
 _VAL_FRACTION = 0.15
 _TEST_FRACTION = 0.15
 _MIN_SWEEP_ROWS = math.ceil(2 / _TEST_FRACTION)  # the fewest with a 2-row test split
+EPOCHS = (1, 100_000)  # `max_epochs` and `patience`
+LEARNING_RATE = (1e-6, 10.0)
 
 
 @dataclass
@@ -69,9 +71,9 @@ class SplitIndices:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    max_epochs: int = ranged(1000, 1, 100_000)
-    patience: int = ranged(6, 1, 100_000)
-    learning_rate: float = ranged(0.01, 1e-6, 10.0)
+    max_epochs: int = ranged(1000, *EPOCHS)
+    patience: int = ranged(6, *EPOCHS)
+    learning_rate: float = ranged(0.01, *LEARNING_RATE)
     momentum: float = ranged(0.9, 0.0, 0.999)
 
     def __post_init__(self) -> None:

@@ -400,6 +400,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SurveyLayout(rsus=standard_rsu_row([0.0], [6]), step_m=0.0)
 
+    def test_layout_refuses_a_repeated_rsu_id(self):
+        # a survey of two RSUs named "a" was written, then refused when read
+        with pytest.raises(ValueError, match="^duplicate RSU id 'a'$"):
+            SurveyLayout(rsus=[Rsu("a", 0.0, 1), Rsu("a", 100.0, 7)])
+        # the first id that repeats, in list order
+        ids = ["b", "a", "b", "a"]
+        rsus = [Rsu(i, 100.0 * k, 1) for k, i in enumerate(ids)]
+        with pytest.raises(ValueError, match="^duplicate RSU id 'b'$"):
+            SurveyLayout(rsus=rsus)
+
     def test_model_sigma_nonnegative(self):
         with pytest.raises(ValueError):
             ChannelModel(far_sigma_db=-1.0)

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from vanetpos import channel, cli, fit, nn, positioning
 from vanetpos.cli import load_scenario, main
 from vanetpos.errors import ConfigError, VanetPosError
-from vanetpos.positioning import FixSource
+from vanetpos.geometry import GlobalPosition
+from vanetpos.positioning import FixSource, SelectionPolicy
 
 from helpers import reference_select_rsus
 
@@ -117,70 +118,89 @@ class TestSurveyCommand:
         assert "typo_key" in err
 
     @pytest.mark.parametrize(
-        "section, key, value, named",
+        "section, key, value, path, named",
         [
-            (("layout",), "step_m", 0, "step_m"),
-            (("channel",), "far_sigma_db", -0.5, "sigma"),
-            (("layout", "rsus", 0), "x_m", "east", "x_m"),
-            (("scenario", "policy"), "min_rsu_count", 1, "min_rsu_count"),
-            ((), "channel", [], "channel"),
-            ((), "scenario", [], "scenario"),
-            ((), "estimator", [], "estimator"),
+            (("layout",), "step_m", 0, "layout.step_m", "step_m"),
+            (("channel",), "far_sigma_db", -0.5, "channel.far_sigma_db", "sigma"),
+            (("layout", "rsus", 0), "x_m", "east", "layout.rsus[0].x_m", "x_m"),
+            (("scenario", "policy"), "min_rsu_count", 1,
+             "scenario.policy.min_rsu_count", "min_rsu_count"),
+            ((), "channel", [], "channel", "channel"),
+            ((), "scenario", [], "scenario", "scenario"),
+            ((), "estimator", [], "estimator", "estimator"),
             (("layout",), "rsus", {"id": "ap0", "x_m": 0.0, "channel": 1},
-             "layout.rsus must be a list"),
-            (("layout", "rsus", 1), "id", "ap0", "duplicate RSU id 'ap0'"),
-            (("layout", "rsus", 1), "x_m", 20.0,
+             "layout.rsus", "layout.rsus must be a list"),
+            # the layout's own rule: an id names a survey CSV column
+            (("layout", "rsus", 1), "id", "ap0", "layout",
+             "config error: layout: duplicate RSU id 'ap0'"),
+            (("layout", "rsus", 1), "x_m", 20.0, "scenario",
              "RSUs ap0 and ap150 are 20.0 m apart; policy requires >= 100.0 m"),
-            (("estimator",), "hidden", 0, "hidden"),
-            (("estimator",), "patience", 0, "patience"),
-            (("estimator",), "hidden", 2.7, "hidden"),
-            (("layout", "rsus", 0), "beacon_interval_ms", 100.0, "beacon_interval_ms"),
+            (("estimator",), "hidden", 0, "estimator.hidden", "hidden"),
+            (("estimator",), "patience", 0, "estimator.patience", "patience"),
+            (("estimator",), "hidden", 2.7, "estimator.hidden", "hidden"),
+            (("estimator",), "kind", "knn", "estimator",
+             "config error: estimator: kind must be 'poly' or 'nn', got 'knn'"),
+            (("layout", "rsus", 0), "beacon_interval_ms", 100.0, "layout.rsus[0]",
+             "beacon_interval_ms"),
             # the channel rule is fixed: a config that still sets it is stale
             (("scenario", "policy"), "require_distinct_channels", True,
+             "scenario.policy",
              "config error: unknown key(s) in scenario.policy: "
              "['require_distinct_channels']"),
             (("scenario", "policy"), "require_distinct_channels", False,
+             "scenario.policy",
              "config error: unknown key(s) in scenario.policy: "
              "['require_distinct_channels']"),
-            (("channel",), "far_sigma_db", float("nan"), "far_sigma_db"),
-            (("channel",), "far_sigma_db", 10**400, "far_sigma_db"),
-            (("scenario",), "seed", -1, "scenario.seed"),
-            (("estimator",), "train_seed", -1, "estimator.train_seed"),
-            (("estimator",), "cutoff_m", -5, "estimator.cutoff_m"),
-            (("scenario", "origin"), "latitude_deg", 89.5, "latitude"),
-            (("scenario", "policy"), "near_field_m", -5, "near_field_m"),
+            (("channel",), "far_sigma_db", float("nan"), "channel.far_sigma_db",
+             "far_sigma_db"),
+            (("channel",), "far_sigma_db", 10**400, "channel.far_sigma_db",
+             "far_sigma_db"),
+            (("scenario",), "seed", -1, "scenario.seed", "scenario.seed"),
+            (("estimator",), "train_seed", -1, "estimator.train_seed",
+             "estimator.train_seed"),
+            (("estimator",), "cutoff_m", -5, "estimator.cutoff_m",
+             "estimator.cutoff_m"),
+            # the local frame's rule, which `scenario` checks on its origin
+            (("scenario", "origin"), "latitude_deg", 89.5, "scenario", "latitude"),
+            (("scenario", "origin"), "latitude_deg", 91.0, "scenario.origin",
+             "config error: scenario.origin: latitude 91.0 outside [-90, 90]"),
+            (("scenario", "policy"), "near_field_m", -5,
+             "scenario.policy.near_field_m", "near_field_m"),
             # the spacing rule is fixed at 100 m: a config that still sets it
             # is stale
-            (("scenario", "policy"), "min_rsu_spacing_m", 100.0,
+            (("scenario", "policy"), "min_rsu_spacing_m", 100.0, "scenario.policy",
              "config error: unknown key(s) in scenario.policy: "
              "['min_rsu_spacing_m']"),
             # an id is a survey CSV field and an entry of a trace's used_rsus
-            (("layout", "rsus", 0), "id", "ap,0", "RSU id 'ap,0'"),
-            (("layout", "rsus", 0), "id", "ap;0", "RSU id 'ap;0'"),
-            (("layout", "rsus", 0), "id", "", "RSU id ''"),
-            (("layout", "rsus", 0), "id", "ap\n0", "RSU id 'ap\\n0'"),
-            (("layout", "rsus", 0), "id", "ap\r0", "RSU id 'ap\\r0'"),
+            (("layout", "rsus", 0), "id", "ap,0", "layout.rsus[0]", "RSU id 'ap,0'"),
+            (("layout", "rsus", 0), "id", "ap;0", "layout.rsus[0]", "RSU id 'ap;0'"),
+            (("layout", "rsus", 0), "id", "", "layout.rsus[0]", "RSU id ''"),
+            (("layout", "rsus", 0), "id", "ap\n0", "layout.rsus[0]",
+             "RSU id 'ap\\n0'"),
+            (("layout", "rsus", 0), "id", "ap\r0", "layout.rsus[0]",
+             "RSU id 'ap\\r0'"),
             # the domain rule, as for every other ranged number
-            (("layout", "rsus", 1), "channel", 14,
+            (("layout", "rsus", 1), "channel", 14, "layout.rsus[1].channel",
              "config error: layout.rsus[1].channel must be in [1, 13], got 14"),
-            (("layout", "rsus", 0), "channel", 0,
+            (("layout", "rsus", 0), "channel", 0, "layout.rsus[0].channel",
              "config error: layout.rsus[0].channel must be in [1, 13], got 0"),
         ],
         ids=[
             "zero-step", "negative-sigma", "non-numeric-x", "one-rsu-policy",
             "channel-not-object", "scenario-not-object", "estimator-not-object",
             "rsus-not-list", "duplicate-rsu-id", "rsus-20m-apart", "zero-hidden",
-            "zero-patience", "fractional-hidden",
+            "zero-patience", "fractional-hidden", "unknown-kind",
             "removed-beacon-interval", "removed-channel-rule-true",
             "removed-channel-rule-false", "nan-sigma", "huge-int-sigma",
             "negative-seed", "negative-train-seed", "negative-cutoff",
-            "polar-origin", "negative-policy-near-field", "removed-rsu-spacing",
-            "comma-rsu-id", "semicolon-rsu-id", "empty-rsu-id", "newline-rsu-id",
-            "carriage-return-rsu-id", "channel-14", "channel-0",
+            "polar-origin", "latitude-past-pole", "negative-policy-near-field",
+            "removed-rsu-spacing", "comma-rsu-id", "semicolon-rsu-id",
+            "empty-rsu-id", "newline-rsu-id", "carriage-return-rsu-id",
+            "channel-14", "channel-0",
         ],
     )
     def test_malformed_value_exit_2_one_line(
-        self, section, key, value, named, tmp_path, capsys
+        self, section, key, value, path, named, tmp_path, capsys
     ):
         cfg = json.loads((CONFIGS / "drive.json").read_text())
         target = cfg
@@ -194,8 +214,14 @@ class TestSurveyCommand:
         )
         assert code == 2
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error:")
-        assert named in lines[0]
+        assert len(lines) == 1 and named in lines[0]
+        # the line leads with the key path at fault; an unknown key names its
+        # section after "unknown key(s) in"; no line names the file
+        lead = re.match(
+            r"config error: (?:unknown key\(s\) in )?([\w.\[\]]+)[: ]", lines[0]
+        )
+        assert lead and lead.group(1) == path
+        assert str(bad) not in lines[0]
 
     def test_int_past_str_digit_limit_exit_2_one_line(self, tmp_path, capsys):
         # json refuses to parse an int literal of more than 4,300 digits
@@ -483,6 +509,17 @@ def test_origin_altitude_range_ends_load_one_step_outside_refused(altitude_m, tm
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match=r"^scenario\.origin\.altitude_m must be in "):
         load_scenario(str(path))
+
+
+def test_partial_origin_and_policy_keep_the_other_defaults(tmp_path):
+    cfg = json.loads((CONFIGS / "drive.json").read_text())
+    cfg["scenario"]["origin"] = {"latitude_deg": 26.3}
+    cfg["scenario"]["policy"] = {"near_field_m": 75.0}
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(cfg))
+    config = load_scenario(str(path))
+    assert config.origin == GlobalPosition(26.3, 0.0, 0.0)
+    assert config.policy == SelectionPolicy(min_rsu_count=2, near_field_m=75.0)
 
 
 def _numeric_keys(node, path=()):
@@ -1217,7 +1254,8 @@ class TestDriveCommand:
                 ["drive", "--config", path, "--out", tmp_path / "x.csv"], capsys
             )
             assert code == 2
-            assert err == f"config error: {path}: outage [{lo}, {hi}] {reason}\n"
+            # the key path leads the line, and the file path leaves it
+            assert err == f"config error: scenario: outage [{lo}, {hi}] {reason}\n"
 
     def test_drive_without_estimator_exit_2(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "drive.json").read_text())

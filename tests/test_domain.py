@@ -20,7 +20,7 @@ BASES = {
     channel.Rsu: _RSU,
     channel.ChannelModel: channel.ChannelModel(),
     channel.SurveyLayout: _LAYOUT,
-    cli.EstimatorSpec: cli.EstimatorSpec("poly"),
+    cli.EstimatorSpec: cli.EstimatorSpec(kind="poly"),
     cli.ScenarioConfig: cli.ScenarioConfig(_LAYOUT, channel.ChannelModel()),
     nn.TrainConfig: nn.TrainConfig(),
     positioning.SelectionPolicy: positioning.SelectionPolicy(),
@@ -48,6 +48,10 @@ STATED = {
     "EstimatorSpec.cutoff_m": (0.0, 1e6),
     "EstimatorSpec.hidden": (1, 100),
     "EstimatorSpec.train_seed": (0, 2**64 - 1),
+    "EstimatorSpec.max_epochs": (1, 100_000),
+    "EstimatorSpec.patience": (1, 100_000),
+    "EstimatorSpec.learning_rate": (1e-6, 10.0),
+    "EstimatorSpec.momentum": (0.0, 0.999),
     "ScenarioConfig.seed": (0, 2**64 - 1),
     "TrainConfig.max_epochs": (1, 100_000),
     "TrainConfig.patience": (1, 100_000),
