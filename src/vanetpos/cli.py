@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
@@ -47,7 +47,6 @@ from .positioning import (
     CalibratedPoly,
     FixSource,
     NnPositionEstimator,
-    PolynomialRangeEstimator,
     PositionFix,
     SelectionPolicy,
     locate,
@@ -126,8 +125,8 @@ class ScenarioConfig:
             d = math.dist((a.x_m, a.y_m, a.z_m), (b.x_m, b.y_m, b.z_m))
             if d < MIN_RSU_SPACING_M:
                 raise ValueError(
-                    f"RSUs {a.id} and {b.id} are {d:.1f} m apart; policy requires "
-                    f">= {MIN_RSU_SPACING_M} m"
+                    f"RSUs {a.id} and {b.id} are {d:.1f} m apart; RSUs must "
+                    f"stand >= {MIN_RSU_SPACING_M} m apart"
                 )
 
 
@@ -243,7 +242,7 @@ def calibrate_polynomial(
     model: ch.ChannelModel,
     cutoff_m: float,
     seed: int,
-) -> PolynomialRangeEstimator:
+) -> Dict[str, CalibratedPoly]:
     """Fit one quartic per RSU, in id order, from a fresh calibration survey.
 
     Each fit reads its RSU's RSS and distance columns of the survey grid.
@@ -263,7 +262,7 @@ def calibrate_polynomial(
             rss_max_dbm=kept.rss_max,
             rmse_m=report.rmse,
         )
-    return PolynomialRangeEstimator(by_rsu=by_rsu)
+    return by_rsu
 
 
 def calibrate_nn(
@@ -306,18 +305,7 @@ def cmd_fit(
     if not mine:
         raise VanetPosError(f"RSU {rsu_id!r} not present in {in_csv}")
     poly, report = fit_poly4(filter_near_field(mine, min_distance_m))
-    payload = {
-        "p1": poly.p1,
-        "p2": poly.p2,
-        "p3": poly.p3,
-        "p4": poly.p4,
-        "p5": poly.p5,
-        "sse": report.sse,
-        "r_square": report.r_square,
-        "adj_r_square": report.adj_r_square,
-        "rmse": report.rmse,
-        "n": report.n,
-    }
+    payload = {**asdict(poly), **asdict(report)}
     Path(report_path).write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"fit {rsu_id}: n={report.n} rmse={report.rmse:.4f} "
@@ -354,12 +342,7 @@ def cmd_sweep(
     in_csv: str, hidden_range: Tuple[int, ...], n_seeds: int, out_csv: str
 ) -> int:
     dataset = nn.dataset_from_columns(ch.read_survey_csv(in_csv))
-    config = nn.SweepConfig(
-        hidden_sizes=hidden_range,
-        seeds=tuple(range(n_seeds)),
-        train=nn.TrainConfig(),
-    )
-    rows = nn.sweep(dataset, config)
+    rows = nn.sweep(dataset, hidden_range, range(n_seeds), nn.TrainConfig())
     lines = [SWEEP_CSV_HEADER] + [_sweep_row_to_csv(r) for r in rows]
     Path(out_csv).write_text("\n".join(lines) + "\n")
     print(f"swept {len(rows)} models -> {out_csv}")

@@ -30,14 +30,16 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Regression goodness of fit for a model with k coefficients."""
+    """Regression goodness of fit for a model with k coefficients.
+
+    `fit` writes these fields, in this order, after the quartic's.
+    """
 
     sse: float
     r_square: float
     adj_r_square: float
     rmse: float
     n: int
-    k: int
 
 
 def _paired_arrays(actual: Sequence[float], predicted: Sequence[float]):
@@ -114,5 +116,4 @@ def fit_report_from_summary(sse: float, r_square: float, n: int, k: int) -> FitR
         adj_r_square=1.0 - (1.0 - r_square) * (n - 1) / (n - k),
         rmse=math.sqrt(sse / (n - k)),
         n=n,
-        k=k,
     )

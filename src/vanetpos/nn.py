@@ -109,13 +109,6 @@ class NnDataset:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    hidden_sizes: Tuple[int, ...] = tuple(range(2, 11))
-    seeds: Tuple[int, ...] = tuple(range(20))
-    train: TrainConfig = TrainConfig()
-
-
-@dataclass(frozen=True)
 class SweepRow:
     rank: int
     hidden: int
@@ -446,7 +439,12 @@ def dataset_from_columns(samples) -> NnDataset:
     )
 
 
-def sweep(dataset: NnDataset, config: SweepConfig) -> Tuple[SweepRow, ...]:
+def sweep(
+    dataset: NnDataset,
+    hidden_sizes: Sequence[int],
+    seeds: Sequence[int],
+    config: TrainConfig,
+) -> Tuple[SweepRow, ...]:
     """Train the full (hidden size x seed) grid and rank the results.
 
     Sorted by MSE over all samples, then max absolute error over all
@@ -457,14 +455,14 @@ def sweep(dataset: NnDataset, config: SweepConfig) -> Tuple[SweepRow, ...]:
         raise TooFewSamples(
             f"a 2-row test split needs >= {_MIN_SWEEP_ROWS} positions, got {dataset.n}"
         )
-    grid = [(h, seed) for h in sorted(config.hidden_sizes) for seed in config.seeds]
+    grid = [(h, seed) for h in sorted(hidden_sizes) for seed in seeds]
     if not grid:
         return ()
-    by_seed = {seed: split_dataset(dataset.n, seed) for seed in config.seeds}
+    by_seed = {seed: split_dataset(dataset.n, seed) for seed in seeds}
     splits = [by_seed[seed] for _, seed in grid]
     n_inputs = dataset.inputs.shape[1]
     models = [init_mlp(n_inputs, hidden, seed) for hidden, seed in grid]
-    trained = _train_stack(models, dataset, splits, config.train)[0]
+    trained = _train_stack(models, dataset, splits, config)[0]
     results = []
     for (hidden, seed), split, model in zip(grid, splits, trained):
         pred_all = forward_batch(model, dataset.inputs)

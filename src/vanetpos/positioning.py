@@ -72,13 +72,6 @@ class CalibratedPoly:
 
 
 @dataclass(frozen=True)
-class PolynomialRangeEstimator:
-    """Per-RSU calibrated quartics (RSS in dBm to range in meters)."""
-
-    by_rsu: Dict[str, CalibratedPoly]
-
-
-@dataclass(frozen=True)
 class NnPositionEstimator:
     """Direct street-position network, valid on its calibration layout's track."""
 
@@ -86,10 +79,7 @@ class NnPositionEstimator:
     rsu_order: Tuple[str, ...]
     layout: SurveyLayout
     rmse_m: float
-    missing_rss_dbm: float = -95.0
-
-
-RangeEstimator = Union[PolynomialRangeEstimator, NnPositionEstimator]
+    missing_rss_dbm: float  # the input of an RSU not heard
 
 
 @dataclass(frozen=True)
@@ -194,13 +184,12 @@ def _strongest_by_rsu(
 
 def _locate_polynomial(
     beacons: Sequence[Beacon],
-    estimator: PolynomialRangeEstimator,
+    by_rsu: Dict[str, CalibratedPoly],
     policy: SelectionPolicy,
     hint: Optional[LocalPoint],
 ) -> Tuple[LocalPoint, Tuple[str, ...], float]:
     # deprioritize anchors inside the near-field chaos zone or outside
     # their calibrated RSS domain; use them only to reach the minimum count
-    by_rsu = estimator.by_rsu
     ranges_m: Dict[str, float] = {}
 
     def is_good(b: Beacon) -> bool:
@@ -262,7 +251,7 @@ def _locate_nn(
 def locate(
     dgps: Optional[GlobalPosition],
     beacons: Sequence[Beacon],
-    estimator: RangeEstimator,
+    estimator: Union[Dict[str, CalibratedPoly], NnPositionEstimator],
     policy: SelectionPolicy,
     origin: GlobalPosition,
     hint: Optional[LocalPoint] = None,
@@ -271,7 +260,8 @@ def locate(
 
     `dgps` is the receiver's corrected position, or None when it has none.
     A DGPS fix wins whenever there is one; otherwise the RSS path selects
-    RSUs per the policy (`select_rsus`) and applies the estimator. Quality
+    RSUs per the policy (`select_rsus`) and applies the estimator: the
+    polynomial one is its table of calibrated quartics by RSU id. Quality
     is the calibration RMSE (polynomial: the worst of the selected RSUs'),
     doubled when the fix is degraded:
 
@@ -291,10 +281,10 @@ def locate(
     if not beacons:
         raise NoCoverage("no GPS and no beacons heard")
 
-    if isinstance(estimator, PolynomialRangeEstimator):
-        local, used, quality = _locate_polynomial(beacons, estimator, policy, hint)
-    else:
+    if isinstance(estimator, NnPositionEstimator):
         local, used, quality = _locate_nn(beacons, estimator, policy)
+    else:
+        local, used, quality = _locate_polynomial(beacons, estimator, policy, hint)
 
     return PositionFix(
         global_position=to_global(local, origin),

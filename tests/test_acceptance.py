@@ -25,7 +25,7 @@ from vanetpos.fit import (
 from vanetpos.geometry import AnchorRange, LocalPoint, multilaterate
 from vanetpos.metrics import fit_report_from_summary, regression_metrics
 from vanetpos.nn import (
-    SweepConfig,
+    TrainConfig,
     batch_loss,
     dataset_from_survey,
     gradients,
@@ -105,20 +105,21 @@ class TestCriterion5InterferenceDegradation:
         clean_cfg = load_scenario(CONFIGS / "exp2.json")
         dirty_cfg = load_scenario(CONFIGS / "exp1.json")
         seed = 42
-        config = SweepConfig()  # 9 hidden sizes x 20 seeds = 180 models
-        assert len(config.hidden_sizes) * len(config.seeds) == 180
+        # the `sweep` command's grid: 9 hidden sizes x 20 seeds = 180 models
+        hidden_sizes, seeds = range(2, 11), range(20)
+        assert len(hidden_sizes) * len(seeds) == 180
 
         clean = sweep(
             dataset_from_survey(
                 generate_survey(clean_cfg.layout, clean_cfg.channel, seed)
             ),
-            config,
+            hidden_sizes, seeds, TrainConfig(),
         )
         dirty = sweep(
             dataset_from_survey(
                 generate_survey(dirty_cfg.layout, dirty_cfg.channel, seed)
             ),
-            config,
+            hidden_sizes, seeds, TrainConfig(),
         )
         clean_err = clean[0].all.max_abs_error
         dirty_err = dirty[0].all.max_abs_error
@@ -267,7 +268,7 @@ class TestCriterion9EndToEndDrive:
         est = calibrate_polynomial(
             config.layout, config.channel, config.estimator.cutoff_m, config.seed
         )
-        calibration_rmse = max(c.rmse_m for c in est.by_rsu.values())
+        calibration_rmse = max(c.rmse_m for c in est.values())
 
         out_a = tmp_path / "trace_a.csv"
         out_b = tmp_path / "trace_b.csv"

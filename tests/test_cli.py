@@ -134,7 +134,7 @@ class TestSurveyCommand:
             (("layout", "rsus", 1), "id", "ap0", "layout",
              "config error: layout: duplicate RSU id 'ap0'"),
             (("layout", "rsus", 1), "x_m", 20.0, "scenario",
-             "RSUs ap0 and ap150 are 20.0 m apart; policy requires >= 100.0 m"),
+             "RSUs ap0 and ap150 are 20.0 m apart; RSUs must stand >= 100.0 m apart"),
             (("estimator",), "hidden", 0, "estimator.hidden", "hidden"),
             (("estimator",), "patience", 0, "estimator.patience", "patience"),
             (("estimator",), "hidden", 2.7, "estimator.hidden", "hidden"),
@@ -624,6 +624,24 @@ class TestFitCommand:
         }
         assert report["n"] == 29
 
+    @pytest.mark.parametrize(
+        "cutoff, digest",
+        [
+            (60, "c2eae9e085ab47499760d16b6dd7d956799032d472f40f8df0aaf00bd77e9e51"),
+            (100, "350e1f302a7e4b9695d788aaf3fa8f5ecfe0f0cc542857b745eb7943232e73d6"),
+        ],
+        ids=["cutoff-60", "cutoff-100"],
+    )
+    def test_fit_report_bytes_pinned(self, exp2_csv, tmp_path, capsys, cutoff, digest):
+        # key order and every value of the report, byte for byte
+        out = tmp_path / "fit.json"
+        code, _, _ = run(
+            ["fit", exp2_csv, "--rsu", "ap200", "--min-distance", cutoff, "--out", out],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_cutoff_100_keeps_21_and_improves_rmse(self, exp2_csv, tmp_path, capsys):
         p60, p100 = tmp_path / "fit60.json", tmp_path / "fit100.json"
         run(["fit", exp2_csv, "--rsu", "ap200", "--min-distance", 60, "--out", p60], capsys)
@@ -731,6 +749,13 @@ class TestSweepCommand:
         assert len(lines) == 5  # header + 2x2 grid
         # printed top rows match the file
         assert lines[1] in stdout
+
+    def test_default_grid_is_180_jobs(self):
+        # the paper's grid: hidden sizes 2..10 x 20 seeds
+        args = cli.build_parser().parse_args(["sweep", "s.csv", "--out", "o.csv"])
+        hidden_sizes = cli._parse_hidden_range(args.hidden)
+        assert hidden_sizes == tuple(range(2, 11)) and args.seeds == 20
+        assert len(hidden_sizes) * args.seeds == 180
 
     def test_seeds_zero_is_empty_table_minus_one_is_usage(
         self, exp2_csv, tmp_path, capsys
@@ -1030,7 +1055,7 @@ class TestDriveCommand:
         )
         survey = channel.generate_survey(config.layout, config.channel, config.seed)
         ids = sorted(r.id for r in config.layout.rsus)
-        assert survey.rsu_ids() == list(est.by_rsu) == ids
+        assert survey.rsu_ids() == list(est) == ids
         xs = survey.x_m.tolist()
         assert xs == sorted(set(xs))
         assert len(calls) == len(ids)
@@ -1370,4 +1395,4 @@ def test_benchmark_calibration_hook_counts_the_grid(tmp_path):
     assert tracer.counts["filter_near_field.offered"] == positions * 11
     kept = int(np.count_nonzero(survey.distance_m >= 60.0))
     assert 0 < tracer.counts["filter_near_field.kept"] == kept < positions * 11
-    assert traced.by_rsu == untraced.by_rsu
+    assert traced == untraced

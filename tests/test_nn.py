@@ -14,7 +14,6 @@ from vanetpos.nn import (
     EpochRecord,
     NnDataset,
     SplitIndices,
-    SweepConfig,
     TrainConfig,
     batch_loss,
     dataset_from_survey,
@@ -388,10 +387,7 @@ class TestSweep:
 
     def test_row_count_matches_grid(self):
         ds = self.survey_dataset()
-        config = SweepConfig(
-            hidden_sizes=(2, 3), seeds=(0, 1), train=TrainConfig(max_epochs=50)
-        )
-        table = sweep(ds, config)
+        table = sweep(ds, (2, 3), (0, 1), TrainConfig(max_epochs=50))
         assert len(table) == 4
         assert {(r.hidden, r.seed) for r in table} == {
             (2, 0), (2, 1), (3, 0), (3, 1)
@@ -399,10 +395,7 @@ class TestSweep:
 
     def test_sorted_by_mse_all(self):
         ds = self.survey_dataset()
-        config = SweepConfig(
-            hidden_sizes=(2, 4, 6), seeds=(0, 1, 2), train=TrainConfig(max_epochs=60)
-        )
-        table = sweep(ds, config)
+        table = sweep(ds, (2, 4, 6), (0, 1, 2), TrainConfig(max_epochs=60))
         mses = [r.all.mse for r in table]
         assert mses == sorted(mses)
         assert table[0].all.mse == min(mses)
@@ -410,20 +403,14 @@ class TestSweep:
 
     def test_deterministic(self):
         ds = self.survey_dataset()
-        config = SweepConfig(
-            hidden_sizes=(2, 3), seeds=(0, 1), train=TrainConfig(max_epochs=40)
-        )
-        assert sweep(ds, config) == sweep(ds, config)
+        config = TrainConfig(max_epochs=40)
+        assert sweep(ds, (2, 3), (0, 1), config) == sweep(ds, (2, 3), (0, 1), config)
 
     def test_grid_order_does_not_change_table(self):
         ds = self.survey_dataset()
-        fwd = SweepConfig(
-            hidden_sizes=(2, 3, 4), seeds=(0, 1), train=TrainConfig(max_epochs=40)
-        )
-        rev = SweepConfig(
-            hidden_sizes=(4, 3, 2), seeds=(1, 0), train=TrainConfig(max_epochs=40)
-        )
-        assert sweep(ds, fwd) == sweep(ds, rev)
+        config = TrainConfig(max_epochs=40)
+        fwd = sweep(ds, (2, 3, 4), (0, 1), config)
+        assert fwd == sweep(ds, (4, 3, 2), (1, 0), config)
 
     def test_too_few_rows_for_a_test_split_fails_before_training(self, monkeypatch):
         # the smallest survey whose 15 % test split holds the two rows
@@ -437,25 +424,18 @@ class TestSweep:
         monkeypatch.setattr(
             nn, "_train_stack", lambda *a: calls.append(a) or train_stack(*a)
         )
-        config = SweepConfig(
-            hidden_sizes=(2,), seeds=(0,), train=TrainConfig(max_epochs=5)
-        )
+        config = TrainConfig(max_epochs=5)
         for n in (7, 13):
             ds = NnDataset(full.inputs[:n], full.targets[:n], full.feature_names)
             with pytest.raises(TooFewSamples, match="2-row test split needs >= 14"):
-                sweep(ds, config)
+                sweep(ds, (2,), (0,), config)
         assert calls == []
         ds = NnDataset(full.inputs[:14], full.targets[:14], full.feature_names)
-        assert len(sweep(ds, config)) == 1
+        assert len(sweep(ds, (2,), (0,), config)) == 1
         assert len(calls) == 1
 
     def test_no_seeds_gives_empty_table(self):
-        config = SweepConfig(hidden_sizes=(2, 3), seeds=())
-        assert sweep(self.survey_dataset(), config) == ()
-
-    def test_default_grid_is_180_jobs(self):
-        config = SweepConfig()
-        assert len(config.hidden_sizes) * len(config.seeds) == 180
+        assert sweep(self.survey_dataset(), (2, 3), (), TrainConfig()) == ()
 
 
 class TestDatasetFromSurvey:
@@ -474,16 +454,15 @@ class TestStackedTrainer:
 
     def test_sweep_rows_match_per_network_reference(self):
         ds = TestSweep.survey_dataset()
-        config = SweepConfig(
-            hidden_sizes=(2, 3), seeds=(0, 1, 2, 3), train=TrainConfig(max_epochs=60)
-        )
-        rows = {(r.hidden, r.seed): r for r in sweep(ds, config)}
+        hidden_sizes, seeds = (2, 3), (0, 1, 2, 3)
+        config = TrainConfig(max_epochs=60)
+        rows = {(r.hidden, r.seed): r for r in sweep(ds, hidden_sizes, seeds, config)}
         epochs = []
-        for hidden in config.hidden_sizes:
-            for seed in config.seeds:
+        for hidden in hidden_sizes:
+            for seed in seeds:
                 splits = split_dataset(ds.n, seed)
                 model, history = reference_train(
-                    init_mlp(3, hidden, seed), ds, splits, config.train
+                    init_mlp(3, hidden, seed), ds, splits, config
                 )
                 epochs.append(len(history))
                 pred = reference_forward_batch(model, ds.inputs)
@@ -626,10 +605,7 @@ class TestBufferOwnership:
             return trained, history
 
         monkeypatch.setattr(nn, "_train_stack", recording)
-        config = SweepConfig(
-            hidden_sizes=(2, 3), seeds=(0, 1, 2), train=TrainConfig(max_epochs=60)
-        )
-        sweep(TestSweep.survey_dataset(), config)
+        sweep(TestSweep.survey_dataset(), (2, 3), (0, 1, 2), TrainConfig(max_epochs=60))
         # one lockstep stack holds the whole grid
         [(models, snapshots, trained)] = calls
         assert [(m.n_hidden, len(m.b1)) for m in trained] == [(2, 2)] * 3 + [(3, 3)] * 3

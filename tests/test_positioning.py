@@ -23,7 +23,6 @@ from vanetpos.positioning import (
     CalibratedPoly,
     FixSource,
     NnPositionEstimator,
-    PolynomialRangeEstimator,
     PositionFix,
     SelectionPolicy,
     locate,
@@ -267,9 +266,7 @@ class TestLocate:
 
     @staticmethod
     def estimator_three_rsus():
-        return PolynomialRangeEstimator(
-            by_rsu={r: linear_cal(rmse=0.5) for r in ("a", "b", "c")}
-        )
+        return {r: linear_cal(rmse=0.5) for r in ("a", "b", "c")}
 
     def test_dgps_wins_when_both_flags_true(self):
         dgps_pos = GlobalPosition(26.351, 43.972, 601.0)
@@ -415,7 +412,7 @@ class TestLocate:
             rss_floor_dbm=-130.0,
         )
         est = calibrate_polynomial(layout, model, 60.0, seed=1)
-        threshold = 2.0 * max(c.rmse_m for c in est.by_rsu.values())
+        threshold = 2.0 * max(c.rmse_m for c in est.values())
         for x in (75.0, 105.0, 130.0, 220.0):
             truth = layout.vehicle_point(x)
             beacons = []
@@ -489,9 +486,7 @@ class TestLocate:
         for rsu_id, x in anchors.items():
             d = math.dist((x, 0.0, 1.10), (truth.x_m, truth.y_m, truth.z_m))
             beacons.append(beacon(rsu_id, x, 6, rss_for_distance(d)))  # same channel
-        est = PolynomialRangeEstimator(
-            by_rsu={r: linear_cal(rmse=0.5) for r in ("a", "b")}
-        )
+        est = {r: linear_cal(rmse=0.5) for r in ("a", "b")}
         fix = locate(
             None, beacons, est, self.policy(), ORIGIN,
             hint=LocalPoint(140.0, 70.0, 1.10),
